@@ -1,51 +1,40 @@
-// E12 (ablation) — design choices of the chromatic-map solver.
+// E12 (ablation) — the chromatic-map solver against its reference.
 //
-// The solver exposes its search strategy through SolverConfig: the seed's
-// plain backtracker (SolverConfig::naive()) against forward checking with
-// MRV/degree variable ordering, the incremental layers on top of FC —
-// the constraint-evaluation cache (core/eval_cache.h) and nogood
-// learning (core/nogood_store.h) — and a portfolio race. This bench pits
-// the engine ladder against the Proposition 9.2 instance — the chromatic
-// simplicial approximation K(T) -> L_t for n = 2, t = 1 — across the two
-// orthogonal problem ablations the seed measured: identity fixing of R_0
-// and radial-projection candidate guidance.
+// The solver runs one search strategy (core/chromatic_csp.h): forward
+// checking with MRV/degree ordering plus always-on incremental layers
+// (evaluation cache, nogood learning with collection and Luby restarts,
+// conflict-directed backjumping). The seed's plain backtracker
+// (SolverConfig::naive()) is kept as the independent reference. This
+// bench pits the two, the cross-solve pool, and the portfolio race
+// against the Proposition 9.2 instance — the chromatic simplicial
+// approximation K(T) -> L_t for n = 2, t = 1 — across the two
+// orthogonal problem ablations the seed measured: identity fixing of
+// R_0 and radial-projection candidate guidance.
 //
 // Per problem cell it prints one row per engine:
-//   naive            — the seed backtracker (baseline);
-//   FC               — forward checking + MRV, caches and nogoods OFF
-//                      (the PR-2 engine, kept as the wall-time baseline
-//                      for the incremental layers);
-//   FC+cache         — plus the evaluation cache;
-//   FC+cache+nogoods — plus nogood learning (the PR-3 shipped engine);
-//   +backjump        — plus conflict-directed backjumping
-//                      (SolverConfig::fast(), the shipped default);
+//   naive            — the seed backtracker (reference);
+//   shipped          — SolverConfig::fast(), the default engine;
 //   warm re-solve    — the shipped engine re-solving with a
 //                      SharedNogoodPool its own cold run populated
 //                      (cross-solve nogood reuse);
-//   portfolio x2     — two diversified shipped searches racing (the
-//                      shipped race now trades nogoods mid-flight:
-//                      SolverConfig::live_exchange).
+//   portfolio x2     — two diversified shipped searches racing and
+//                      trading nogoods mid-flight
+//                      (SolverConfig::live_exchange).
 // After the cells, a dedicated exchange-ablation section races the
 // free-R_0 *unguided* instance with the mid-flight exchange off vs on —
 // the one report instance whose race runs long enough for the trade to
-// reach the settling thread (see the section comment) — and a
-// nogood-lifecycle section measures the PR-6 knobs on the same
-// instance: Luby restarts off vs forced-frequent, and a deliberately
-// tiny nogood store with GC off (the legacy at-capacity learning
-// freeze) vs on (`restarts:` / `gc:` summary lines, gated by CI).
+// reach the settling thread (see the section comment).
 // Rows report found/exhausted, backtracks, backjumps, nogood
 // prunings/recordings, pool seeding, exchange traffic, cache hit rates,
 // and wall time; the summary lines compare naive vs the shipped engine
-// (backtracks), FC vs the layered engines (wall time), backjump-off vs
-// -on (backtracks — strictly fewer is the PR-4 acceptance bar), cold vs
-// warm (reuse), and the portfolio with the exchange off vs on (the PR-5
-// mid-flight number; CI fails on a regression past the race-noise
-// slack).
+// (backtracks and wall time; a settled disagreement prints "solver
+// bug"), cold vs warm (reuse), and the portfolio with the exchange off
+// vs on (CI fails on a regression past the race-noise slack).
 //
 // Usage: bench_csp_ablation [extra_stages] [gbench args...]
 // `extra_stages` (default 2) is the number of stabilization stages past
-// Chr^2; CI smoke-runs pass 1, so the default instance (the source of
-// the ROADMAP backtrack numbers) only runs when invoked by hand.
+// Chr^2; CI smoke-runs pass 1, so the default instance only runs when
+// invoked by hand.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -142,29 +131,6 @@ void print_cell(const char* engine, const Cell& c) {
     std::cout << (c.exhausted || c.found ? "" : " (budget hit)") << "\n";
 }
 
-/// The engine ladder of one problem cell (see the header comment).
-SolverConfig fc_plain_config(std::size_t budget) {
-    SolverConfig c = SolverConfig::fast(budget);
-    c.eval_cache = false;
-    c.nogood_learning = false;
-    c.backjumping = false;
-    c.allowed_lru_capacity = 0;
-    return c;
-}
-
-SolverConfig fc_cache_config(std::size_t budget) {
-    SolverConfig c = SolverConfig::fast(budget);
-    c.nogood_learning = false;
-    c.backjumping = false;
-    return c;
-}
-
-SolverConfig fc_nogoods_config(std::size_t budget) {
-    SolverConfig c = SolverConfig::fast(budget);
-    c.backjumping = false;
-    return c;
-}
-
 void print_report() {
     std::cout << "=== E12 (ablation): chromatic-map solver engines on the "
                  "L_t (n=2, t=1) approximation (extra_stages="
@@ -187,15 +153,8 @@ void print_report() {
         const Cell naive =
             run_cell(problem, SolverConfig::naive(c.budget));
         print_cell("naive (seed backtracker)   ", naive);
-        const Cell fc_plain = run_cell(problem, fc_plain_config(c.budget));
-        print_cell("FC (PR-2 engine, no cache) ", fc_plain);
-        const Cell fc_cache = run_cell(problem, fc_cache_config(c.budget));
-        print_cell("FC+cache                   ", fc_cache);
-        const Cell fc_nogoods =
-            run_cell(problem, fc_nogoods_config(c.budget));
-        print_cell("FC+cache+nogoods (PR-3)    ", fc_nogoods);
         const Cell fast = run_cell(problem, SolverConfig::fast(c.budget));
-        print_cell("FC+cache+nogoods+backjump  ", fast);
+        print_cell("shipped engine             ", fast);
         // Cross-solve reuse: the shipped engine against a pool its own
         // cold run populated (the cold run repeats the `fast` cell, plus
         // publishing).
@@ -208,59 +167,19 @@ void print_report() {
             run_cell(problem, SolverConfig::portfolio(2, c.budget));
         print_cell("portfolio x2 (shipped race)", portfolio);
 
-        // The incremental layers must not change what is found, only how
-        // fast; a divergence is a solver bug ONLY when the not-found
-        // side proved unsatisfiability (exhausted) — a budget-limited
-        // plain FC losing to the nogood engine is legitimate pruning.
-        const auto settled_disagree = [&fc_plain](const Cell& layered) {
-            return layered.found != fc_plain.found &&
-                   (layered.found ? fc_plain.exhausted : layered.exhausted);
+        // Every shipped variant must agree with the reference wherever
+        // either side settled: a witness on one side and a proven
+        // exhaustion on the other is a solver bug.
+        const auto settled_disagree = [&naive](const Cell& shipped) {
+            return shipped.found != naive.found &&
+                   (shipped.found ? naive.exhausted : shipped.exhausted);
         };
-        if (settled_disagree(fc_cache) || settled_disagree(fc_nogoods) ||
-            settled_disagree(fast) || settled_disagree(warm)) {
-            std::cout << "    cache-vs-plain: engines DISAGREE on "
-                         "satisfiability — solver bug\n";
-        } else if (fc_cache.found != fc_plain.found ||
-                   fast.found != fc_plain.found) {
-            std::cout << "    cache-vs-plain: plain FC inconclusive at its "
-                         "budget; the layered engine settled the instance "
-                         "(wall times not comparable)\n";
-        } else if (fc_plain.millis > 0.0 && fast.millis > 0.0) {
-            std::cout << "    FC wall time: " << fc_plain.millis << " -> "
-                      << fc_cache.millis << " ms (cache) -> "
-                      << fc_nogoods.millis << " ms (cache+nogoods) -> "
-                      << fast.millis << " ms (+backjump), speedup x"
-                      << (fc_plain.millis / fast.millis) << "\n";
-        }
-        // The two PR-4 summary lines: backjumping (vs the PR-3 engine on
-        // the same problem) and cross-solve reuse (cold vs warm against
-        // one pool).
-        if (fast.found == fc_nogoods.found &&
-            fast.exhausted == fc_nogoods.exhausted) {
-            const std::size_t off = fc_nogoods.counters.backtracks;
-            const std::size_t on = fast.counters.backtracks;
-            std::cout << "    backjumping: " << off << " -> " << on
-                      << " backtracks ("
-                      << (on < off ? "strictly fewer"
-                                   : on == off ? "equal"
-                                               : "MORE — regression")
-                      << "), " << fast.counters.backjumps << " jumps\n";
-        }
-        if (cold.found == warm.found && cold.exhausted == warm.exhausted) {
-            std::cout << "    nogood reuse: cold "
-                      << cold.counters.backtracks << " -> warm "
-                      << warm.counters.backtracks << " backtracks ("
-                      << warm.counters.pool_seeded
-                      << " nogoods seeded from the " << "pool)\n";
-        }
-        const bool loser_exhausted =
-            naive.found ? fast.exhausted : naive.exhausted;
-        if (naive.found != fast.found && loser_exhausted) {
-            // One engine proved the opposite of what the other found.
+        if (settled_disagree(fast) || settled_disagree(cold) ||
+            settled_disagree(warm) || settled_disagree(portfolio)) {
             std::cout << "    old-vs-new: engines DISAGREE on "
                          "satisfiability — solver bug\n";
         } else if (naive.found != fast.found) {
-            const char* loser = naive.found ? "FC+MRV" : "naive";
+            const char* loser = naive.found ? "shipped" : "naive";
             const Cell& found_cell = naive.found ? naive : fast;
             const Cell& lost_cell = naive.found ? fast : naive;
             std::cout << "    old-vs-new: " << loser
@@ -275,8 +194,8 @@ void print_report() {
                          "exhausted without a witness or a refutation); "
                          "backtrack counts not comparable\n";
         } else if (!naive.found && naive.exhausted != fast.exhausted) {
-            const char* settled = naive.exhausted ? "naive" : "FC+MRV";
-            const char* hit = naive.exhausted ? "FC+MRV" : "naive";
+            const char* settled = naive.exhausted ? "naive" : "shipped";
+            const char* hit = naive.exhausted ? "shipped" : "naive";
             std::cout << "    old-vs-new: " << settled
                       << " proved unsatisfiability; " << hit
                       << " budgeted out (counts not comparable)\n";
@@ -285,16 +204,22 @@ void print_report() {
             const std::size_t new_bt = fast.counters.backtracks;
             std::cout << "    old-vs-new: " << old_bt << " -> " << new_bt
                       << " backtracks ("
-                      << (new_bt < old_bt ? "strictly fewer"
-                                          : new_bt == old_bt
-                                                ? "equal"
-                                                : "MORE — regression")
+                      << (new_bt < old_bt   ? "strictly fewer"
+                          : new_bt == old_bt ? "equal"
+                                             : "more")
                       << "), " << naive.millis << " -> " << fast.millis
                       << " ms\n";
         }
+        if (cold.found == warm.found && cold.exhausted == warm.exhausted) {
+            std::cout << "    nogood reuse: cold "
+                      << cold.counters.backtracks << " -> warm "
+                      << warm.counters.backtracks << " backtracks ("
+                      << warm.counters.pool_seeded
+                      << " nogoods seeded from the " << "pool)\n";
+        }
     }
 
-    // --- the mid-flight exchange ablation (PR 5) -----------------------
+    // --- the mid-flight exchange ablation ------------------------------
     // Measured on the free-R_0 UNGUIDED problem, deliberately not one of
     // the ladder cells above: it is the instance where the shipped
     // engine still searches long enough (hundreds of backtracks) for
@@ -337,73 +262,6 @@ void print_report() {
         }
     }
 
-    // --- the nogood-lifecycle ablation (PR 6) --------------------------
-    // Same free-R_0 unguided instance as the exchange section, for the
-    // same reason: its search runs long enough that restarts actually
-    // fire and a tiny store actually fills. Single-threaded, so every
-    // number here is deterministic.
-    //
-    // restarts: the shipped engine with the Luby schedule forced
-    // frequent (unit = 16 backtracks) vs off. A restarted search replays
-    // the identical DFS with a superset of the learned conflicts, so the
-    // verdict is pinned; the backtrack count may move either way (the
-    // replays re-spend budget, the extra nogoods prune), and only a
-    // blow-up past twice the off count plus a floor is a regression.
-    //
-    // gc: the shipped engine against a deliberately tiny store (8
-    // entries), with collection off — the legacy dead end where a full
-    // store rejects every further conflict — vs on, where collections
-    // evict the least active half and recording continues past the cap.
-    // GC can only admit conflicts the frozen store rejected, so fewer
-    // recordings with GC on is a regression.
-    {
-        std::cout << "nogood lifecycle ablation (free R_0, unguided "
-                     "candidates):\n";
-        const auto problem = inst.problem(false, false);
-        SolverConfig restarts_off = SolverConfig::fast(8000000);
-        restarts_off.restarts = false;
-        const Cell r_off = run_cell(problem, restarts_off);
-        print_cell("shipped, restarts off      ", r_off);
-        SolverConfig restarts_on = SolverConfig::fast(8000000);
-        restarts_on.restart_unit = 16;
-        const Cell r_on = run_cell(problem, restarts_on);
-        print_cell("shipped, Luby unit=16      ", r_on);
-        if (r_off.found == r_on.found && r_off.exhausted == r_on.exhausted) {
-            const std::size_t off = r_off.counters.backtracks;
-            const std::size_t on = r_on.counters.backtracks;
-            std::cout << "    restarts: off " << off << " -> on " << on
-                      << " backtracks (" << r_on.counters.restarts
-                      << " restarts"
-                      << (on > 2 * off + 128
-                              ? ") — MORE: restart regression\n"
-                              : on < off ? ", reduced)\n" : ", bounded)\n");
-        } else {
-            std::cout << "    restarts: cells disagree on settling "
-                         "(budget artifacts); backtracks not comparable — "
-                         "solver bug if both settled\n";
-        }
-
-        SolverConfig frozen = SolverConfig::fast(8000000);
-        frozen.nogood_capacity = 8;
-        frozen.nogood_gc = false;
-        const Cell gc_off = run_cell(problem, frozen);
-        print_cell("tiny store (8), GC off     ", gc_off);
-        SolverConfig collected = frozen;
-        collected.nogood_gc = true;
-        const Cell gc_on = run_cell(problem, collected);
-        print_cell("tiny store (8), GC on      ", gc_on);
-        const std::size_t frozen_recorded = gc_off.counters.nogoods_recorded;
-        const std::size_t live_recorded = gc_on.counters.nogoods_recorded;
-        std::cout << "    gc: capacity 8, off " << frozen_recorded
-                  << " recorded (frozen at the cap) -> on " << live_recorded
-                  << " recorded / " << gc_on.counters.nogoods_evicted
-                  << " evicted"
-                  << (live_recorded < frozen_recorded
-                          ? " — FEWER: gc regression\n"
-                          : live_recorded > collected.nogood_capacity
-                                ? ", learning continued past the cap\n"
-                                : ", store never filled at this size\n");
-    }
     std::cout << std::endl;
 }
 
@@ -426,16 +284,6 @@ void BM_SolverFast(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SolverFast)->Unit(benchmark::kMillisecond);
-
-void BM_SolverFcPlain(benchmark::State& state) {
-    const Instance& inst = instance();
-    const auto problem = inst.problem(true, true);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            core::solve_chromatic_map(problem, fc_plain_config(1000000)));
-    }
-}
-BENCHMARK(BM_SolverFcPlain)->Unit(benchmark::kMillisecond);
 
 void BM_SolverFastUnguided(benchmark::State& state) {
     const Instance& inst = instance();

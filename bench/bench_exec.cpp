@@ -3,8 +3,8 @@
 // per call (the pattern every parallel layer used before src/exec/),
 // plus steal throughput on a deliberately imbalanced fork.
 //
-// The spawn-per-call replica below is a faithful local copy of the old
-// util/parallel.h loop: one std::thread per shard, self-scheduling
+// The spawn-per-call replica below is a faithful local copy of the
+// pre-exec parallel loop: one std::thread per shard, self-scheduling
 // atomic index, join-all — so the comparison isolates exactly what the
 // refactor removed (thread creation + teardown per call), not a change
 // in scheduling shape.

@@ -5,9 +5,6 @@
 //   example_engine_cli --list          # list scenarios (nothing built)
 //   example_engine_cli --threads 4     # shard width (default 2)
 //   example_engine_cli --no-pool       # disable cross-solve nogood reuse
-//   example_engine_cli --no-restarts   # disable Luby restarts in the CSP
-//   example_engine_cli --no-gc         # full nogood store rejects instead
-//                                      # of collecting (pre-GC behavior)
 //   example_engine_cli --pool-file learned.pool lt-2-1-res1
 //                                      # persist the pool across processes
 //   example_engine_cli --json          # machine-readable reports (one
@@ -100,8 +97,6 @@ int main(int argc, char** argv) {
         engine::ScenarioRegistry::standard();
     unsigned threads = 2;
     bool no_pool = false;
-    bool no_restarts = false;
-    bool no_gc = false;
     bool json_output = false;
     std::string pool_file;
     std::vector<engine::Scenario> scenarios;
@@ -114,14 +109,6 @@ int main(int argc, char** argv) {
         }
         if (std::strcmp(argv[i], "--no-pool") == 0) {
             no_pool = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--no-restarts") == 0) {
-            no_restarts = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--no-gc") == 0) {
-            no_gc = true;
             continue;
         }
         if (std::strcmp(argv[i], "--pool-file") == 0 && i + 1 < argc) {
@@ -155,10 +142,6 @@ int main(int argc, char** argv) {
     }
     if (scenarios.empty()) scenarios = registry.quick();
     const bool use_pool = !no_pool;
-    for (engine::Scenario& s : scenarios) {
-        if (no_restarts) s.options.solver.restarts = false;
-        if (no_gc) s.options.solver.nogood_gc = false;
-    }
 
     try {
     // One pool for the whole run: scoping by problem identity keeps

@@ -95,7 +95,7 @@ DomainMap all_initial_domains(const ChromaticMapProblem& problem) {
     return domains;
 }
 
-/// The leaf constraint test shared by both engines: the image of a fully
+/// The naive engine's leaf constraint test: the image of a fully
 /// assigned simplex must be a simplex of the codomain lying inside
 /// sigma's constraint complex.
 bool image_constraint_holds(
@@ -191,7 +191,7 @@ Decomposition decompose(const ChromaticMapProblem& problem,
 
 // ---------------------------------------------------------------------------
 // Naive engine: the seed's plain chronological backtracker, kept verbatim
-// as the SolverConfig::naive() baseline.
+// as the SolverConfig::naive() reference.
 // ---------------------------------------------------------------------------
 
 struct NaiveSearcher {
@@ -303,7 +303,9 @@ bool naive_solve_component(const ChromaticMapProblem& problem,
 }
 
 // ---------------------------------------------------------------------------
-// Forward-checking engine with configurable variable/value ordering.
+// The shipped engine: forward checking, MRV/degree branching, memoized
+// evaluation, nogood learning with collection and Luby restarts, and
+// conflict-directed backjumping.
 // ---------------------------------------------------------------------------
 
 /// One portfolio thread's view of the solve's LiveNogoodExchange:
@@ -317,7 +319,6 @@ struct ExchangeSession {
     LiveNogoodExchange* exchange = nullptr;
     NogoodStore* store = nullptr;  // this thread's own store
     unsigned source = 0;           // this thread's publish tag
-    std::size_t max_import_literals = 0;
     std::size_t cursor = 0;
     std::size_t published = 0;
     std::size_t imported = 0;
@@ -338,7 +339,7 @@ struct ExchangeSession {
     void import_new() {
         if (exchange->size() <= cursor) return;
         cursor = exchange->drain(
-            cursor, source, max_import_literals,
+            cursor, source, kExchangeMaxLiterals,
             [this](const std::vector<NogoodLiteral>& literals) {
                 if (store->record(
                         std::vector<NogoodLiteral>(literals))) {
@@ -352,24 +353,25 @@ struct ExchangeSession {
 
 struct FcSearcher {
     FcSearcher(const ChromaticMapProblem& p, const topo::AdjacencyIndex& ix,
-               const SolverConfig& c)
-        : problem(p), index(ix), config(c) {}
+               std::size_t budget)
+        : problem(p), index(ix), max_backtracks(budget) {}
 
     const ChromaticMapProblem& problem;
     const topo::AdjacencyIndex& index;
-    const SolverConfig& config;
+    const std::size_t max_backtracks;
     const exec::CancelToken* cancel = nullptr;
-    // Optional incremental layers, owned by the per-thread driver
+    // The incremental layers, owned by the per-thread driver
     // (solve_single): memoized constraint evaluation, learned
-    // conflicts, and the portfolio exchange session. All null in the
-    // root-propagation searcher.
+    // conflicts, and the portfolio exchange session (null when
+    // single-threaded). The root-propagation searcher brings its own
+    // cache and learns nothing (null store, null session).
     EvalCache* cache = nullptr;
     NogoodStore* nogoods = nullptr;
     ExchangeSession* session = nullptr;
 
     /// Outcome of one search() call: a witness below this node, a proven
     /// conflict (conflict_var_ names the variable whose conflict set
-    /// describes it when backjumping is on), an abort (budget / stop
+    /// describes it), an abort (budget / stop
     /// flag — not a proof, so no conflict set), or a Luby restart (this
     /// run's backtrack allotment ran out; the driver unwinds to the
     /// component root and searches again with the learned nogoods —
@@ -405,7 +407,6 @@ struct FcSearcher {
     // Dense mirror of var_index for the hot constraint scans (vertex ids
     // are bounded by the domain complex); kNoVar for out-of-scope ids.
     std::vector<std::uint32_t> var_of_vertex;
-    std::unordered_map<VertexId, VertexId> assignment;
     // Undo log of domain prunings: (variable index, value index).
     std::vector<std::pair<std::size_t, std::size_t>> trail;
     SearchCounters counters;
@@ -419,13 +420,13 @@ struct FcSearcher {
 
     // Luby restart state, driven by fc_solve_component: once the
     // current run's backtracks reach restart_limit, search() unwinds
-    // with Status::kRestart. 0 = never restart.
+    // with Status::kRestart.
     std::size_t restart_limit = 0;
     std::size_t run_start_backtracks = 0;
 
-    // Conflict-directed backjumping state (config.backjumping): one
-    // conflict set per variable, as a bitset over var indices. conf(v)
-    // accumulates, while v is the active decision, every variable whose
+    // Conflict-directed backjumping state: one conflict set per
+    // variable, as a bitset over var indices. conf(v) accumulates,
+    // while v is the active decision, every variable whose
     // assignment contributed to a failure of one of v's values; when v's
     // values are exhausted, conf(v) is the proven conflict of the whole
     // level, and ancestors absent from it are jumped over. Fixed
@@ -460,15 +461,13 @@ struct FcSearcher {
                 unassigned.push_back(static_cast<std::uint32_t>(i));
             }
         }
-        if (config.backjumping) {
-            conflict_words = (vars.size() + 63) / 64;
-            conflict_.assign(vars.size(),
-                             std::vector<std::uint64_t>(conflict_words, 0));
-            assign_conflict_.assign(conflict_words, 0);
-        }
+        conflict_words = (vars.size() + 63) / 64;
+        conflict_.assign(vars.size(),
+                         std::vector<std::uint64_t>(conflict_words, 0));
+        assign_conflict_.assign(conflict_words, 0);
     }
 
-    // --- conflict-set plumbing (backjumping only) ----------------------
+    // --- conflict-set plumbing -----------------------------------------
 
     void conflict_add(std::vector<std::uint64_t>& set,
                       std::size_t var_idx) const {
@@ -525,9 +524,12 @@ struct FcSearcher {
     /// live, share it with the racing threads immediately (the
     /// published copy is the store's canonical literal vector — a deque
     /// element, so the reference is stable even while other imports
-    /// keep appending).
+    /// keep appending). A no-op in the root-propagation searcher, whose
+    /// conflicts refute the whole problem.
     void learn(std::vector<NogoodLiteral> literals) {
-        if (!nogoods->record(std::move(literals))) return;
+        if (nogoods == nullptr || !nogoods->record(std::move(literals))) {
+            return;
+        }
         ++counters.nogoods_recorded;
         if (session != nullptr) {
             session->publish_recorded(nogoods->all().back());
@@ -548,7 +550,6 @@ struct FcSearcher {
     /// named assignments are jointly contradictory — the CDCL-style
     /// "learned clause" on top of the wipeout/violation records.
     void record_conflict_set(const std::vector<std::uint64_t>& set) {
-        if (nogoods == nullptr) return;
         std::vector<NogoodLiteral> literals;
         for (std::size_t w = 0; w < conflict_words; ++w) {
             std::uint64_t bits = set[w];
@@ -606,12 +607,9 @@ struct FcSearcher {
     }
 
     /// Leaf constraint check for a fully assigned indexed simplex, via
-    /// the evaluation memo when enabled.
+    /// the evaluation memo.
     bool constraint_holds(const Simplex* sigma_ptr) {
         const Simplex& sigma = *sigma_ptr;
-        if (cache == nullptr) {
-            return image_constraint_holds(problem, assignment, sigma);
-        }
         image_scratch.clear();
         for (VertexId v : sigma.vertices()) {
             image_scratch.push_back(vars[var_of_vertex[v]].value);
@@ -648,7 +646,6 @@ struct FcSearcher {
     /// values are per-solve constants, so they can never differ when the
     /// nogood fires).
     void record_violation(const Simplex& sigma) {
-        if (nogoods == nullptr) return;
         std::vector<NogoodLiteral> literals;
         literals.reserve(sigma.size());
         for (VertexId u : sigma.vertices()) {
@@ -665,7 +662,6 @@ struct FcSearcher {
     /// (root-propagated, branch-independent) domain is excluded, so the
     /// set is a sound nogood regardless of assignment order.
     void record_wipeout(std::size_t u_idx) {
-        if (nogoods == nullptr) return;
         const Var& u = vars[u_idx];
         std::vector<NogoodLiteral> literals;
         for (std::size_t i = 0; i < u.values.size(); ++i) {
@@ -693,8 +689,8 @@ struct FcSearcher {
     }
 
     /// Assign v := w and propagate: completed constraints are checked, and
-    /// with forward checking on, every in-scope constraint one vertex
-    /// short of completion filters that vertex's live domain. Returns
+    /// every in-scope constraint one vertex short of completion filters
+    /// that vertex's live domain. Returns
     /// false on a violated constraint or a domain wipeout (the caller must
     /// undo_to its own trail mark either way).
     ///
@@ -714,10 +710,6 @@ struct FcSearcher {
         var.assigned = true;
         var.value = w;
         mark_assigned(var_idx);
-        // The map mirror exists only for the uncached leaf path
-        // (image_constraint_holds); everything else reads the dense
-        // tables.
-        if (cache == nullptr) assignment[var.v] = w;
         fc_pending.clear();
         for (const Simplex* sigma_ptr : index.incident_simplices(var.v)) {
             const Simplex& sigma = *sigma_ptr;
@@ -739,12 +731,10 @@ struct FcSearcher {
             if (num_unassigned == 0) {
                 if (!constraint_holds(sigma_ptr)) {
                     record_violation(sigma);
-                    if (config.backjumping) {
-                        conflict_from_violation(sigma, var_idx);
-                    }
+                    conflict_from_violation(sigma, var_idx);
                     return false;
                 }
-            } else if (num_unassigned == 1 && config.forward_checking) {
+            } else if (num_unassigned == 1) {
                 fc_pending.emplace_back(sigma_ptr, unassigned_idx);
             }
         }
@@ -767,19 +757,18 @@ struct FcSearcher {
                     image.push_back(vars[var_of_vertex[u]].value);
                 }
             }
-            if (cache != nullptr) {
-                // One memoized lookup filters the whole candidate
-                // list: the mask is keyed by the neighborhood-image
-                // fingerprint (cid + assigned values + hole). The
-                // filter itself is the word-wise pass `live & ~allowed`
-                // over the packed domain — only the values actually
-                // being pruned cost anything beyond one AND-NOT per 64
+            if (cache->memoizes_images()) {
+                // One memoized lookup filters the whole candidate list:
+                // the mask is keyed by the neighborhood-image
+                // fingerprint (cid + assigned values + hole). The filter
+                // itself is the word-wise pass `live & ~allowed` over
+                // the packed domain — only the values actually being
+                // pruned cost anything beyond one AND-NOT per 64
                 // candidates (ctz walks the remainder in ascending
-                // index order, same sequence as the old per-value scan).
+                // index order).
                 const std::vector<std::uint64_t>& mask =
                     cache->allowed_mask(problem, index.id_of(sigma_ptr),
-                                        sigma, image, u_slot,
-                                        uvar.values);
+                                        sigma, image, u_slot, uvar.values);
                 const std::size_t words = uvar.active_bits.size();
                 for (std::size_t wd = 0; wd < words; ++wd) {
                     std::uint64_t removed = uvar.active_bits[wd] & ~mask[wd];
@@ -792,7 +781,11 @@ struct FcSearcher {
                     }
                 }
             } else {
-                const SimplicialComplex& allowed = problem.allowed(sigma);
+                // Root propagation: every fixed vertex is assigned
+                // once, so a mask would never be reused; test only the
+                // still-live values, in the same ascending order.
+                const SimplicialComplex& allowed =
+                    cache->allowed(problem, index.id_of(sigma_ptr), sigma);
                 for (std::size_t i = 0; i < uvar.values.size(); ++i) {
                     if (!uvar.active[i]) continue;
                     image[u_slot] = uvar.values[i];
@@ -805,9 +798,7 @@ struct FcSearcher {
             }
             if (uvar.active_count == 0) {
                 record_wipeout(u_idx);
-                if (config.backjumping) {
-                    conflict_from_wipeout(u_idx, var_idx);
-                }
+                conflict_from_wipeout(u_idx, var_idx);
                 return false;
             }
         }
@@ -817,7 +808,6 @@ struct FcSearcher {
     void unassign(std::size_t var_idx) {
         vars[var_idx].assigned = false;
         mark_unassigned(var_idx);
-        if (cache == nullptr) assignment.erase(vars[var_idx].v);
     }
 
     /// Dense assignment view for the nogood store.
@@ -828,18 +818,11 @@ struct FcSearcher {
         return true;
     }
 
-    /// The next branching variable: first unassigned in static order, or
-    /// the MRV/degree/id minimum over the live unassigned list (the
-    /// criterion is a total order, so the list's arbitrary order picks
-    /// the same variable a full scan would). Returns vars.size() when
-    /// all assigned.
+    /// The next branching variable: the MRV/degree/id minimum over the
+    /// live unassigned list (the criterion is a total order, so the
+    /// list's arbitrary order picks the same variable a full scan
+    /// would). Returns vars.size() when all assigned.
     std::size_t pick_variable() const {
-        if (config.variable_order == VariableOrder::kStatic) {
-            for (std::size_t i = 0; i < vars.size(); ++i) {
-                if (!vars[i].assigned) return i;
-            }
-            return vars.size();
-        }
         std::size_t best = vars.size();
         for (const std::uint32_t i : unassigned) {
             const Var& var = vars[i];
@@ -867,29 +850,22 @@ struct FcSearcher {
         const std::size_t var_idx = pick_variable();
         if (var_idx == vars.size()) return Status::kFound;
         Var& var = vars[var_idx];
-        const bool cbj = config.backjumping;
-        std::vector<std::uint64_t>* conf = nullptr;
-        if (cbj) {
-            conf = &conflict_[var_idx];
-            std::fill(conf->begin(), conf->end(), 0);
-        }
+        std::vector<std::uint64_t>& conf = conflict_[var_idx];
+        std::fill(conf.begin(), conf.end(), 0);
         for (std::size_t i = 0; i < var.values.size(); ++i) {
             if (!var.active[i]) {
                 // The value is unavailable because an ancestor's
                 // constraint pruned it; that ancestor could restore it,
                 // so it belongs in this level's conflict set.
-                if (cbj) {
-                    const Simplex* cause = var.pruned_by[i];
-                    if (cause == nullptr) {
-                        conflict_add_all_assigned(*conf, var_idx, var_idx);
-                    } else {
-                        conflict_add_constraint(*conf, *cause, var_idx,
-                                                var_idx);
-                    }
+                const Simplex* cause = var.pruned_by[i];
+                if (cause == nullptr) {
+                    conflict_add_all_assigned(conf, var_idx, var_idx);
+                } else {
+                    conflict_add_constraint(conf, *cause, var_idx, var_idx);
                 }
                 continue;
             }
-            if (nogoods != nullptr && !nogoods->empty()) {
+            if (!nogoods->empty()) {
                 const std::vector<NogoodLiteral>* blocking =
                     nogoods->blocking_nogood(
                         var.v, var.values[i],
@@ -904,11 +880,9 @@ struct FcSearcher {
                     // counts stay comparable). The nogood's other
                     // literals name the decisions responsible.
                     ++counters.nogood_prunings;
-                    if (cbj) {
-                        for (const NogoodLiteral& l : *blocking) {
-                            if (l.var == var.v) continue;
-                            conflict_add(*conf, var_of_vertex[l.var]);
-                        }
+                    for (const NogoodLiteral& l : *blocking) {
+                        if (l.var == var.v) continue;
+                        conflict_add(conf, var_of_vertex[l.var]);
                     }
                     continue;
                 }
@@ -929,33 +903,29 @@ struct FcSearcher {
                 // its conflict set, no other value of this variable can
                 // resolve it: pop the level without re-enumerating
                 // (the backjump), propagating the same conflict.
-                if (cbj &&
-                    !conflict_contains(conflict_[conflict_var_], var_idx)) {
+                if (!conflict_contains(conflict_[conflict_var_], var_idx)) {
                     undo_to(mark);
                     unassign(var_idx);
                     ++counters.backjumps;
                     return Status::kConflict;
                 }
-                if (cbj) {
-                    conflict_merge(*conf, conflict_[conflict_var_], var_idx);
-                }
-            } else if (cbj) {
+                conflict_merge(conf, conflict_[conflict_var_], var_idx);
+            } else {
                 // try_assign failed directly; it left the cause in
                 // assign_conflict_.
-                conflict_merge(*conf, assign_conflict_, var_idx);
+                conflict_merge(conf, assign_conflict_, var_idx);
             }
             undo_to(mark);
             unassign(var_idx);
-            if (++counters.backtracks > config.max_backtracks ||
+            if (++counters.backtracks > max_backtracks ||
                 stopped()) {
                 exhausted = false;
                 return Status::kAbort;
             }
             // This run's Luby allotment. Checked after the global
             // budget: restarts reschedule the budget, never extend it.
-            if (restart_limit != 0 &&
-                counters.backtracks - run_start_backtracks >=
-                    restart_limit) {
+            if (counters.backtracks - run_start_backtracks >=
+                restart_limit) {
                 return Status::kRestart;
             }
             // A backtrack (or a backjump landing) is the natural moment
@@ -964,7 +934,7 @@ struct FcSearcher {
             // immediately benefits. One relaxed check when idle.
             maybe_import();
         }
-        if (cbj && exhausted) record_conflict_set(*conf);
+        if (exhausted) record_conflict_set(conf);
         conflict_var_ = var_idx;
         return Status::kConflict;
     }
@@ -978,13 +948,16 @@ struct FcSearcher {
 /// pruned per-vertex domains, or nullopt on a root conflict.
 std::optional<DomainMap> propagate_fixed_snapshot(
     const ChromaticMapProblem& problem, const topo::AdjacencyIndex& index,
-    const std::vector<VertexId>& fixed_order, const DomainMap& base_domains,
-    const SolverConfig& config) {
+    const std::vector<VertexId>& fixed_order,
+    const DomainMap& base_domains) {
     if (fixed_order.empty()) return base_domains;
 
-    SolverConfig propagation_config = config;
-    propagation_config.forward_checking = true;
-    FcSearcher s(problem, index, propagation_config);
+    // A throwaway cache: the root assigns each fixed vertex once, so
+    // only the allowed() table is worth keeping (image memos off, which
+    // also switches try_assign to its live-values-only filter).
+    EvalCache cache(index.indexed_simplex_count(), 0);
+    FcSearcher s(problem, index, /*budget=*/0);  // never searches
+    s.cache = &cache;
     for (VertexId v : fixed_order) {
         s.var_index[v] = s.vars.size();
         s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, true, {}});
@@ -1022,7 +995,7 @@ std::optional<DomainMap> propagate_fixed_snapshot(
 /// The Luby restart sequence, 1-indexed: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2,
 /// 1, 1, 2, 4, 8, ... — the universal-optimal schedule for restarting a
 /// Las-Vegas search (Luby, Sinclair, Zuckerman 1993). luby(i) scales
-/// SolverConfig::restart_unit into the i-th run's backtrack allotment.
+/// kRestartUnit into the i-th run's backtrack allotment.
 std::size_t luby(std::size_t i) {
     for (;;) {
         // Find the block: if i is exactly 2^k - 1 the value is 2^(k-1);
@@ -1048,7 +1021,7 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
                         ExchangeSession* session,
                         ChromaticMapResult& result,
                         std::unordered_map<VertexId, VertexId>& solution) {
-    FcSearcher s(problem, index, config);
+    FcSearcher s(problem, index, config.max_backtracks);
     s.cancel = cancel;
     s.cache = cache;
     s.nogoods = nogoods;
@@ -1079,7 +1052,6 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
         FcSearcher::Var& var = s.vars[s.var_index.at(v)];
         var.assigned = true;
         var.value = var.values.front();
-        s.assignment[v] = var.values.front();
     }
     s.finalize_vars();
 
@@ -1087,26 +1059,21 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
     // everything the other threads proved before descending at all. It
     // is also a reference-free safe point, so retired nogood buffers
     // from the previous component can be physically reclaimed.
-    if (nogoods != nullptr) nogoods->reclaim();
+    nogoods->reclaim();
     s.maybe_import();
 
-    // Luby restarts (only meaningful with a store: a restart without
-    // learned nogoods would replay the identical tree). Each run gets
-    // luby(i) * restart_unit backtracks; on kRestart the searcher has
+    // Luby restarts: each run gets luby(i) * kRestartUnit backtracks; on
+    // kRestart the searcher has
     // fully unwound to this root, so re-descending with the retained
     // store — now holding everything this run and the exchange peers
     // proved — is the same deterministic DFS with strictly more sound
     // pruning: same first witness, same exhaustion verdict, fewer
     // re-derived conflicts. The global max_backtracks budget keeps
     // ticking across runs, so termination is unchanged.
-    const bool use_restarts = config.restarts && nogoods != nullptr &&
-                              config.restart_unit > 0;
     FcSearcher::Status status;
     for (std::size_t run = 1;; ++run) {
-        if (use_restarts) {
-            s.restart_limit = luby(run) * config.restart_unit;
-            s.run_start_backtracks = s.counters.backtracks;
-        }
+        s.restart_limit = luby(run) * kRestartUnit;
+        s.run_start_backtracks = s.counters.backtracks;
         status = s.search();
         if (status != FcSearcher::Status::kRestart) break;
         ++s.counters.restarts;
@@ -1133,13 +1100,6 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
 // Single-threaded driver: decomposition + engine dispatch.
 // ---------------------------------------------------------------------------
 
-/// Does this configuration select the seed backtracker verbatim?
-bool is_naive_engine(const SolverConfig& config) {
-    return config.variable_order == VariableOrder::kStatic &&
-           !config.forward_checking &&
-           config.value_order == ValueOrder::kGiven;
-}
-
 ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
                                 const topo::AdjacencyIndex& index,
                                 const Decomposition& dec,
@@ -1154,16 +1114,15 @@ ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
     result.exhausted = true;
     std::unordered_map<VertexId, VertexId> solution;
 
-    const bool naive_engine = is_naive_engine(config);
+    const bool naive_engine = config.naive_engine;
 
     // The incremental layers are per-thread (no locking) and shared
     // across the thread's components: constraint ids are global to the
     // domain complex, and nogoods from one component mention variables
     // disjoint from every other component's, so sharing is sound.
     std::optional<EvalCache> cache;
-    if (!naive_engine && config.eval_cache) {
-        cache.emplace(index.indexed_simplex_count(),
-                      config.eval_cache_capacity);
+    if (!naive_engine) {
+        cache.emplace(index.indexed_simplex_count(), kEvalCacheCapacity);
     }
     // Cross-solve reuse: when the problem builder wired a SharedNogoodPool,
     // import every pool nogood whose variables all translate into the
@@ -1172,9 +1131,7 @@ ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
     // store is sized so seeded entries do not consume the learning
     // budget. Reused nogoods only prune, so seeding changes backtrack
     // counts, never verdicts or witnesses.
-    const bool use_pool = !naive_engine && config.nogood_learning &&
-                          config.nogood_capacity > 0 &&
-                          problem.nogood_pool != nullptr &&
+    const bool use_pool = !naive_engine && problem.nogood_pool != nullptr &&
                           !problem.nogood_scope.empty() &&
                           static_cast<bool>(problem.pool_var_key);
     // One vertex -> pool-key table per solve, built lazily (each
@@ -1196,8 +1153,7 @@ ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
     };
     std::optional<NogoodStore> nogoods;
     std::size_t seeded = 0;
-    if (!naive_engine && config.nogood_learning &&
-        config.nogood_capacity > 0) {
+    if (!naive_engine) {
         std::vector<std::vector<NogoodLiteral>> seeds;
         // An empty scope has nothing to import: skip the key translation
         // outright on the cold first solve.
@@ -1224,14 +1180,11 @@ ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
                     seeds.push_back(std::move(literals));
                 });
         }
-        // The store collects when full (config.nogood_gc) instead of
-        // rejecting — the capacity bounds the live set, not the
-        // learning. Seeds are not exempt from eviction: a seed that
-        // never fires is exactly the kind of ballast GC exists to shed.
-        NogoodStore::GcConfig gc;
-        gc.enabled = config.nogood_gc;
-        gc.keep_fraction = config.gc_keep_fraction;
-        nogoods.emplace(config.nogood_capacity + seeds.size(), gc);
+        // The store collects when full — the capacity bounds the live
+        // set, not the learning. Seeds are not exempt from eviction: a
+        // seed that never fires is exactly the kind of ballast GC exists
+        // to shed.
+        nogoods.emplace(kNogoodCapacity + seeds.size());
         for (std::vector<NogoodLiteral>& s : seeds) {
             if (nogoods->record(std::move(s))) ++seeded;
         }
@@ -1249,7 +1202,6 @@ ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
         session->exchange = exchange;
         session->store = &*nogoods;
         session->source = thread_id;
-        session->max_import_literals = config.exchange_max_literals;
     }
 
     const auto solve_component =
@@ -1348,25 +1300,20 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
     require(config.num_threads >= 1,
             "solve_chromatic_map: num_threads must be >= 1");
 
-    // The per-vertex simplex lists exist for forward checking; a purely
-    // naive run (note portfolio threads > 0 always shuffle, hence use the
-    // FC engine) only needs the neighbor sets for decomposition.
-    const bool need_simplex_index =
-        !is_naive_engine(config) || config.num_threads > 1;
+    // The per-vertex simplex lists exist for forward checking; the naive
+    // engine only needs the neighbor sets for decomposition.
     const topo::AdjacencyIndex index(problem.domain->complex(),
-                                     need_simplex_index);
+                                     !config.naive_engine);
     const Decomposition dec = decompose(problem, index);
     const DomainMap base_domains = all_initial_domains(problem);
 
-    // Fixed-vertex root propagation, once per solve (FC engines only; the
-    // naive baseline keeps the raw domains).
+    // Fixed-vertex root propagation, once per solve (shipped engine only;
+    // the naive reference keeps the raw domains).
     DomainMap propagated_domains;
-    const bool fc_engine_used =
-        !is_naive_engine(config) || config.num_threads > 1;
-    if (fc_engine_used) {
+    if (!config.naive_engine) {
         auto snapshot = propagate_fixed_snapshot(problem, index,
                                                  dec.fixed_order,
-                                                 base_domains, config);
+                                                 base_domains);
         if (!snapshot.has_value()) {
             // A conflict among the fixed assignments alone proves
             // unsatisfiability outright (they are not search decisions).
@@ -1378,7 +1325,7 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
     }
 
     ChromaticMapResult result;
-    if (config.num_threads == 1) {
+    if (config.num_threads == 1 || config.naive_engine) {
         result = solve_single(problem, index, dec, base_domains,
                               propagated_domains, config, 0, config.cancel);
     } else {
@@ -1417,13 +1364,9 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
         std::optional<ChromaticMapResult> settled;
         std::vector<ChromaticMapResult> locals(config.num_threads);
         std::vector<std::exception_ptr> errors(config.num_threads);
-        // The mid-flight exchange needs learning to be on to have
-        // anything to trade; it lives exactly as long as the race.
+        // The mid-flight exchange lives exactly as long as the race.
         std::optional<LiveNogoodExchange> exchange;
-        if (config.live_exchange && !is_naive_engine(config) &&
-            config.nogood_learning && config.nogood_capacity > 0) {
-            exchange.emplace();
-        }
+        if (config.live_exchange) exchange.emplace();
         exec::TaskGroup group;
         for (unsigned i = 0; i < config.num_threads; ++i) {
             group.run([&, i] {

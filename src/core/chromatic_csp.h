@@ -15,29 +15,33 @@
 // vertex's constraint complex, and every simplex of A whose vertices are
 // all assigned must map to a simplex of its constraint complex.
 //
-// Two engines are provided, selected by SolverConfig:
-//  * kStatic order without forward checking is the plain backtracker the
-//    library shipped with (the "naive" baseline of bench_csp_ablation);
-//  * kMrvDegree with forward checking prunes per-vertex domains through a
-//    precomputed vertex/simplex adjacency index (topology/adjacency_index)
-//    and always branches on the most constrained vertex.
+// Two engines are provided:
+//  * the shipped engine prunes per-vertex domains by forward checking
+//    through a precomputed vertex/simplex adjacency index
+//    (topology/adjacency_index) and always branches on the most
+//    constrained vertex (minimum remaining values, then degree);
+//  * SolverConfig::naive() selects the plain chronological backtracker
+//    the library shipped with, kept verbatim as the one independent
+//    reference the shipped engine is tested against.
 // Independently, `num_threads > 1` races a portfolio of searches with
 // diversified value orders as a cancellable task group on the resident
 // scheduler (src/exec/); the first witness wins via a CancelToken.
 //
-// The FC engine's per-node work is flattened by three incremental
-// layers, all on by default and all provably verdict/witness-preserving:
+// The shipped engine's per-node work is flattened by incremental layers
+// that are always on and provably verdict/witness-preserving:
 //  * an evaluation cache (core/eval_cache.h) memoizing allowed()
 //    complexes and full image evaluations, keyed by dense constraint ids
 //    from the adjacency index;
 //  * nogood learning (core/nogood_store.h) recording each proven
 //    conflict's minimal assignment set and pruning branches that would
-//    recreate it;
-//  * conflict-directed backjumping (SolverConfig::backjumping): the same
-//    minimal conflict sets tell the engine which decision actually
-//    caused a dead end, and the search returns straight to the deepest
-//    decision in the set instead of backtracking chronologically
-//    through decisions the conflict provably does not involve.
+//    recreate it; a full store collects its least active nogoods, and
+//    Luby restarts re-descend from the component root with what was
+//    learned;
+//  * conflict-directed backjumping: the same minimal conflict sets tell
+//    the engine which decision actually caused a dead end, and the
+//    search returns straight to the deepest decision in the set instead
+//    of backtracking chronologically through decisions the conflict
+//    provably does not involve.
 // Learned conflicts travel beyond the thread that proved them on two
 // timescales: *mid-flight*, portfolio threads publish every newly
 // recorded nogood to a lock-light LiveNogoodExchange and import each
@@ -122,18 +126,6 @@ struct ChromaticMapProblem {
     std::function<SharedNogoodPool::VarKeyId(VertexId)> pool_var_key;
 };
 
-/// How the next branching variable is chosen.
-enum class VariableOrder {
-    /// Fixed vertices first, then per component a static
-    /// maximum-cardinality order (most already-ordered neighbors first).
-    /// This is the seed backtracker's order.
-    kStatic,
-    /// Dynamic minimum-remaining-values: branch on the free vertex with
-    /// the smallest live domain; ties broken by larger 1-skeleton degree,
-    /// then smaller vertex id.
-    kMrvDegree,
-};
-
 /// How each variable's candidate list is ordered.
 enum class ValueOrder {
     /// As given: `candidate_order` when present, else codomain vertex-id
@@ -144,15 +136,27 @@ enum class ValueOrder {
     kShuffled,
 };
 
-/// @brief Tunable knobs of the search engine.
+/// @brief Entry cap of the per-thread image-evaluation memo (each entry
+/// is one (constraint, image fingerprint) -> verdict/mask result).
+inline constexpr std::size_t kEvalCacheCapacity = std::size_t{1} << 18;
+/// @brief Live nogoods per search thread; a full store collects down to
+/// NogoodStore::kKeepFraction of it and keeps learning
+/// (core/nogood_store.h).
+inline constexpr std::size_t kNogoodCapacity = 4096;
+/// @brief Luby restart unit: the i-th run of a component search gets
+/// luby(i) * kRestartUnit backtracks (1, 1, 2, 1, 1, 2, 4, ... units).
+inline constexpr std::size_t kRestartUnit = 512;
+/// @brief Import-size cap of the mid-flight portfolio exchange: only
+/// nogoods with at most this many literals are imported (short nogoods
+/// fire most often — an LBD-style filter on the cheap import side).
+inline constexpr std::size_t kExchangeMaxLiterals = 8;
+
+/// @brief The knobs of the search: budgets, cancellation, the portfolio
+/// race, and the reference-engine selector. The search strategy itself
+/// is fixed (see the header comment).
 struct SolverConfig {
-    /// @brief Branching-variable strategy (see VariableOrder).
-    VariableOrder variable_order = VariableOrder::kMrvDegree;
     /// @brief Candidate-value ordering (see ValueOrder).
     ValueOrder value_order = ValueOrder::kGiven;
-    /// @brief Prune unassigned neighbors' domains after every assignment
-    /// (requires no extra setup; uses topo::AdjacencyIndex internally).
-    bool forward_checking = true;
     /// @brief Backtrack budget per engine run (per thread in portfolio
     /// mode).
     std::size_t max_backtracks = 1000000;
@@ -164,75 +168,14 @@ struct SolverConfig {
     /// diversification.
     std::uint64_t seed = 0;
 
-    /// @brief Memoize constraint-complex lookups and full image
-    /// evaluations during the search (core/eval_cache.h). FC engine
-    /// only; the naive baseline always runs uncached.
-    /// @note Pure memoization: verdicts and witnesses are identical with
-    /// the cache on or off (asserted by tests/solver_cache_test.cpp).
-    bool eval_cache = true;
-    /// @brief Entry cap of the per-thread image-evaluation memo (each
-    /// entry is one (constraint, image fingerprint) -> verdict/mask
-    /// result; the cap bounds the memo's memory per solver thread).
-    std::size_t eval_cache_capacity = 1 << 18;
-
-    /// @brief Learn nogoods from wipeouts/violations and prune future
-    /// branches against them (core/nogood_store.h). FC engine only.
-    /// @note Sound pruning only: verdicts and witnesses are identical
-    /// with learning on or off; backtrack counts shrink.
-    bool nogood_learning = true;
-    /// @brief Max nogoods live per search thread (0 disables the store
-    /// outright). What happens at the cap depends on `nogood_gc`.
-    std::size_t nogood_capacity = 4096;
-    /// @brief Collect the nogood store when it fills: retire the least
-    /// active nogoods (activity-aged, LBD-style — see NogoodStore's
-    /// GcConfig) down to `gc_keep_fraction * nogood_capacity` and keep
-    /// learning. Off restores the legacy dead end where a full store
-    /// rejects every further conflict and learning silently freezes.
-    /// @note Eviction only forgets pruning shortcuts; verdicts and
-    /// witnesses are identical either way (toggle-matrix tests).
-    bool nogood_gc = true;
-    /// @brief Live fraction kept by each collection (clamped inside the
-    /// store so a collection always keeps >= 1 and frees >= 1).
-    double gc_keep_fraction = 0.5;
-
-    /// @brief Luby-sequence restarts (FC engine only, needs
-    /// nogood_learning): abandon the current tree after luby(i) *
-    /// restart_unit backtracks and redo the search from the component
-    /// root, keeping the nogood store, the pool seeds, and the exchange
-    /// cursor — so the retry spends its budget where the learned
-    /// conflicts now prune hardest instead of grinding out the first
-    /// ordering's tail. Total work stays bounded by max_backtracks
-    /// (restarts reschedule the budget, they do not extend it).
-    /// @note The restarted search runs the identical deterministic DFS
-    /// with a superset of the pruning knowledge, so the first witness
-    /// found — and the exhaustion verdict — are the same as without
-    /// restarts (asserted across the registry toggle matrix).
-    bool restarts = true;
-    /// @brief Backtracks in the i-th run = luby(i) * restart_unit
-    /// (1, 1, 2, 1, 1, 2, 4, ... times this unit).
-    std::size_t restart_unit = 512;
-
-    /// @brief Conflict-directed backjumping (FC engine only): on a dead
-    /// end, return straight to the deepest decision in the conflict set
-    /// — assembled from the same per-value pruning-constraint provenance
-    /// the nogood store records — instead of chronologically re-trying
-    /// decisions the conflict provably does not involve.
-    /// @note The jump only ever skips subtrees that contain no witness
-    /// (every skipped decision is absent from the conflict set, so
-    /// re-assigning it cannot resolve the conflict), and it visits the
-    /// surviving nodes in the same order as chronological backtracking:
-    /// verdicts and witnesses are bit-identical with the knob on or off
-    /// (asserted across the registry by tests/solver_cache_test.cpp).
-    bool backjumping = true;
-
     /// @brief Mid-flight nogood exchange between portfolio threads
-    /// (active only with num_threads > 1 and nogood_learning on): each
-    /// thread publishes every newly recorded nogood to a lock-light
-    /// shared log (core/nogood_store.h, LiveNogoodExchange) and imports
-    /// the others' at its backtrack/backjump points and at each
-    /// component start, so a conflict one thread proves stops costing
-    /// every other thread its re-derivation — while they are all still
-    /// searching, not at the next solve boundary.
+    /// (active only with num_threads > 1): each thread publishes every
+    /// newly recorded nogood to a lock-light shared log
+    /// (core/nogood_store.h, LiveNogoodExchange) and imports the others'
+    /// at its backtrack/backjump points and at each component start, so
+    /// a conflict one thread proves stops costing every other thread its
+    /// re-derivation — while they are all still searching, not at the
+    /// next solve boundary.
     /// @note Sound for the same reason seeding from the cross-solve pool
     /// is: portfolio threads share every per-solve constant, and a
     /// recorded conflict depends only on those constants and its
@@ -240,19 +183,14 @@ struct SolverConfig {
     /// exchange on or off; backtrack counts shrink nondeterministically
     /// (imports race with the search that would have re-proven them).
     bool live_exchange = true;
-    /// @brief Import-size cap of the exchange: only nogoods with at most
-    /// this many literals are imported (short nogoods fire most often —
-    /// the LBD-style quality filter, applied on the cheap import side so
-    /// publishing stays a single append). 0 = import everything.
-    std::size_t exchange_max_literals = 8;
 
     /// @brief Diversify the portfolio (the default): threads beyond the
     /// first search with per-thread shuffled value orders, so the race
     /// explores different subtrees. Off = every thread runs the
     /// identical search; the race then only hedges scheduling, but the
     /// reported verdict and witness become deterministic for any thread
-    /// count (what the toggle-matrix property tests pin) — and so do
-    /// the counters when the live exchange is off (imports race, so
+    /// count (what the exchange/pool/thread matrix test pins) — and so
+    /// do the counters when the live exchange is off (imports race, so
     /// with the exchange on only the verdict/witness stay pinned). The
     /// exchange still helps an undiversified race: a slower replica
     /// skips conflicts a faster one already proved.
@@ -274,29 +212,32 @@ struct SolverConfig {
     /// one race never cancels the caller's scope.
     const exec::CancelToken* cancel = nullptr;
 
-    /// @brief The seed backtracker: static order, no pruning, no caches.
+    /// @brief Run the seed backtracker instead of the shipped engine:
+    /// static maximum-cardinality order, no pruning, no caches, one
+    /// thread (num_threads, value_order, and the portfolio knobs are
+    /// ignored). The independent reference the shipped engine is tested
+    /// against; set only through naive().
+    bool naive_engine = false;
+
+    /// @brief The seed backtracker (see `naive_engine`); the builders'
+    /// carrier LRU is off too, so nothing is memoized anywhere.
     static SolverConfig naive(std::size_t max_backtracks = 1000000) {
         SolverConfig c;
-        c.variable_order = VariableOrder::kStatic;
-        c.forward_checking = false;
+        c.naive_engine = true;
         c.max_backtracks = max_backtracks;
-        c.eval_cache = false;
-        c.nogood_learning = false;
-        c.backjumping = false;
         c.allowed_lru_capacity = 0;
         return c;
     }
 
-    /// @brief Forward checking + MRV/degree with all memoization layers
-    /// on (the default).
+    /// @brief The shipped engine (the default configuration) with the
+    /// given budget.
     static SolverConfig fast(std::size_t max_backtracks = 1000000) {
         SolverConfig c;
         c.max_backtracks = max_backtracks;
         return c;
     }
 
-    /// @brief `threads` diversified searches racing, forward checking
-    /// and the memoization layers on.
+    /// @brief `threads` diversified shipped searches racing.
     static SolverConfig portfolio(unsigned threads,
                                   std::size_t max_backtracks = 1000000,
                                   std::uint64_t seed = 0) {
@@ -326,20 +267,20 @@ struct SearchCounters {
     /// nogood (not counted as backtracks).
     std::size_t nogood_prunings = 0;
     /// Nogoods recorded by the search itself (pool seeds and exchange
-    /// imports are counted separately, never here). With nogood_gc on
-    /// this keeps growing past nogood_capacity — the capacity bounds
-    /// the *live* set, not the learning (the PR-6 regression tests pin
-    /// exactly this).
+    /// imports are counted separately, never here). This keeps growing
+    /// past kNogoodCapacity — the capacity bounds the *live* set, not
+    /// the learning (tests/solver_cache_test.cpp pins exactly this).
     std::size_t nogoods_recorded = 0;
-    /// Nogoods retired by store collections (SolverConfig::nogood_gc);
-    /// 0 when GC is off or the store never filled.
+    /// Nogoods retired by store collections; 0 when the store never
+    /// filled.
     std::size_t nogoods_evicted = 0;
-    /// Luby restarts taken (SolverConfig::restarts): abandoned trees,
+    /// Luby restarts taken (kRestartUnit): abandoned trees,
     /// not counting the final run that settled the component.
     std::size_t restarts = 0;
     /// Dead ends resolved by a non-chronological jump: decision levels
     /// popped without re-enumerating their remaining values because the
-    /// conflict set did not involve them (SolverConfig::backjumping).
+    /// conflict set did not involve them (conflict-directed
+    /// backjumping).
     std::size_t backjumps = 0;
     /// Nogoods imported from the problem's SharedNogoodPool at the
     /// start of the search (0 when no pool is wired).
@@ -352,7 +293,7 @@ struct SearchCounters {
     /// Nogoods imported from other portfolio threads mid-search.
     std::size_t exchange_imported = 0;
     /// Constraint-evaluation cache hits (allowed() + image memos
-    /// combined); 0 when the cache is off.
+    /// combined); 0 for the naive engine, which runs uncached.
     std::size_t eval_cache_hits = 0;
     /// Constraint-evaluation cache misses (including insertions
     /// rejected at capacity).

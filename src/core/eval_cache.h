@@ -117,6 +117,9 @@ public:
         std::size_t hole_slot, const std::vector<topo::VertexId>& values);
 
     const EvalCacheStats& stats() const noexcept { return stats_; }
+    /// False when constructed with image_capacity 0: image and mask
+    /// results are then computed afresh on every call.
+    bool memoizes_images() const noexcept { return image_capacity_ > 0; }
 
 private:
     struct ImageKey {

@@ -17,8 +17,10 @@
 //     distance to f (Theorem 8.4 guarantees existence);
 //  5. admissibility of T for Res_t, checked against enumerated compact
 //     run families (landing condition of Theorem 6.1).
-// Protocol extraction and Definition 4.1 verification live in
-// src/protocol/gact_protocol.h.
+// Steps 2-4 run as engine::build_general_witness (engine/general_route.h)
+// under the LtStableRule; this header holds the L_t-specific pieces it
+// and the engine use. Protocol extraction and Definition 4.1
+// verification live in src/protocol/gact_protocol.h.
 #pragma once
 
 #include "core/chromatic_csp.h"
@@ -29,31 +31,6 @@
 #include "tasks/standard_tasks.h"
 
 namespace gact::core {
-
-/// The constructed witness for Proposition 9.2.
-struct LtPipeline {
-    tasks::AffineTask task;        // the affine task L_t
-    TerminatingSubdivision tsub;   // T, materialized to the given stage
-    SimplicialMap delta;           // K(T) -> L_t (global ids -> Chr^2 ids)
-    std::size_t csp_backtracks = 0;
-};
-
-/// Build T and delta for L_t on n+1 processes, materializing
-/// 2 + extra_stages subdivision stages. Throws if the approximation CSP
-/// fails (Theorem 8.4 rules this out for the cases the library targets).
-/// `config` selects the CSP engine for the approximation step.
-///
-/// Deprecated: a thin shim over the engine's general route
-/// (engine/general_route.h) with the L_t stable rule. Prefer
-/// engine::Engine::solve on a general Scenario, which adds the
-/// run-family admissibility stage and the unified report; use
-/// engine::build_general_witness directly when only the construction is
-/// needed.
-[[deprecated(
-    "use gact::engine::Engine (engine/engine.h) on a general Scenario, "
-    "or engine::build_general_witness for the raw construction")]]
-LtPipeline build_lt_pipeline(int n, int t, std::size_t extra_stages,
-                             const SolverConfig& config = SolverConfig::fast());
 
 /// How lt_approximation_problem orders each vertex's candidates.
 enum class LtGuidance {

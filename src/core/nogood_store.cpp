@@ -36,16 +36,13 @@ std::size_t portable_hash(
 
 }  // namespace
 
-NogoodStore::NogoodStore(std::size_t capacity) : capacity_(capacity) {}
-
-NogoodStore::NogoodStore(std::size_t capacity, GcConfig gc)
-    : capacity_(capacity), gc_(gc) {}
-
 NogoodStore::NogoodStore(std::size_t capacity, Hasher hasher)
-    : capacity_(capacity), hasher_(std::move(hasher)) {}
+    : capacity_(capacity), hasher_(std::move(hasher)) {
+    require(capacity > 0, "NogoodStore: capacity must be >= 1");
+}
 
 bool NogoodStore::record(std::vector<NogoodLiteral> literals) {
-    if (literals.empty() || capacity_ == 0) return false;
+    if (literals.empty()) return false;
     std::sort(literals.begin(), literals.end());
     literals.erase(std::unique(literals.begin(), literals.end()),
                    literals.end());
@@ -55,12 +52,11 @@ bool NogoodStore::record(std::vector<NogoodLiteral> literals) {
     // collision — sound, since the store only prunes, but an invisible
     // learning loss that corrupted the recorded/pruning statistics.)
     // Dedup runs before the capacity gate so a re-derived conflict at a
-    // full store counts as the duplicate it is, not as learning loss —
-    // and the probe is a find(), never operator[], so rejected records
-    // leave no empty bucket behind (the capacity bound must bound the
-    // whole store, including its index). Retired ids left the buckets
-    // at collection time, so a re-proved forgotten conflict is
-    // re-learned here, not mistaken for a duplicate of a dead entry.
+    // full store counts as the duplicate it is instead of triggering a
+    // collection — and the probe is a find(), never operator[], so
+    // rejected duplicates leave no empty bucket behind. Retired ids left
+    // the buckets at collection time, so a re-proved forgotten conflict
+    // is re-learned here, not mistaken for a duplicate of a dead entry.
     const std::size_t h =
         hasher_ ? hasher_(literals) : nogood_hash(literals);
     const auto bucket_it = by_hash_.find(h);
@@ -72,17 +68,7 @@ bool NogoodStore::record(std::vector<NogoodLiteral> literals) {
             }
         }
     }
-    if (live_ >= capacity_) {
-        if (!gc_.enabled) {
-            // The legacy dead end: a full store refuses every new
-            // conflict, silently freezing all learning for the rest of
-            // the search. Kept (observable, opt-out) for callers that
-            // pin it; the solver runs with GC on.
-            ++rejected_at_capacity_;
-            return false;
-        }
-        collect();
-    }
+    if (live_ >= capacity_) collect();
 
     const auto id = static_cast<std::uint32_t>(nogoods_.size());
     by_hash_[h].push_back(id);
@@ -102,7 +88,7 @@ void NogoodStore::collect() {
     // Keep target, clamped so a collection always keeps at least one
     // nogood and frees at least one slot whatever the fraction says.
     const auto raw_target = static_cast<std::size_t>(
-        static_cast<double>(capacity_) * gc_.keep_fraction);
+        static_cast<double>(capacity_) * kKeepFraction);
     const std::size_t target =
         std::min(std::max<std::size_t>(raw_target, 1), capacity_ - 1);
     if (live_ <= target) return;
@@ -115,9 +101,8 @@ void NogoodStore::collect() {
     // Eviction priority: least active first; among equals the widest
     // nogood goes first (a narrow nogood prunes more per probe), then
     // the oldest. The full sort keeps the policy deterministic, which
-    // the bit-identical toggle-matrix tests lean on indirectly (any
-    // sound pruning set preserves verdicts, but determinism keeps runs
-    // reproducible for debugging).
+    // the pinned search counters rely on (any sound pruning set
+    // preserves verdicts, but the counters are exact).
     std::sort(live_ids.begin(), live_ids.end(),
               [this](std::uint32_t a, std::uint32_t b) {
                   if (activity_[a] != activity_[b]) {

@@ -17,28 +17,25 @@
 // assignment; if so, the branch is pruned without redoing the search
 // work that proved the conflict the first time. The same minimal
 // conflict sets drive the engine's conflict-directed backjumping (see
-// chromatic_csp.h, SolverConfig::backjumping).
+// chromatic_csp.h).
 //
 // Soundness: a recorded conflict depends only on the per-solve constants
 // (the constraint complexes and the root-propagated domains) and the
 // recorded assignments — never on assignment order — so pruning against
-// the store never removes a satisfying branch. Verdicts and witnesses
-// are bit-identical with the store on or off; only backtrack counts and
-// wall time change (tests/solver_cache_test.cpp asserts this across the
-// scenario registry).
+// the store never removes a satisfying branch: the shipped engine finds
+// the same verdicts and witnesses as the seed backtracker, which learns
+// nothing (tests/solver_cache_test.cpp asserts this across the scenario
+// registry and the quick sweep grid).
 //
-// The store is bounded (SolverConfig::nogood_capacity) so pathological
-// searches cannot grow it without bound — but a full store must not
-// stop learning. Historically it did: once size() hit the capacity,
-// record() rejected every new conflict for the rest of the search
-// (rejected_at_capacity_), freezing the learning on whatever was
-// derived first. With GcConfig::enabled the store instead *collects*:
-// when the live count reaches the capacity it retires the least useful
-// nogoods (lowest activity first — activity is bumped each time a
-// nogood blocks a branch and halved at every collection, a clause-aging
-// scheme in the LBD/VSIDS family) down to capacity * keep_fraction and
-// admits the new record. Retirement is logical: the nogood leaves the
-// watch and dedup indices (it stops pruning and may be re-learned) but
+// The store is bounded (kNogoodCapacity in chromatic_csp.h) so
+// pathological searches cannot grow it without bound — but a full store
+// must not stop learning, so it *collects*: when the live count reaches
+// the capacity it retires the least useful nogoods (lowest activity
+// first — activity is bumped each time a nogood blocks a branch and
+// halved at every collection, a clause-aging scheme in the LBD/VSIDS
+// family) down to capacity * kKeepFraction and admits the new record.
+// Retirement is logical: the nogood leaves the watch and dedup indices
+// (it stops pruning and may be re-learned) but
 // its deque slot and literal buffer survive, so ids stay stable and the
 // PR-5 lifetime contract holds — a blocking_nogood() reference or an
 // all().back() reference held by a searcher, and the copies in the
@@ -89,32 +86,20 @@ class NogoodStore {
 public:
     using Hasher = std::function<std::size_t(const std::vector<NogoodLiteral>&)>;
 
-    /// Eviction policy for a full store (see the file comment). Off by
-    /// default: without it the store keeps the legacy reject-at-capacity
-    /// behavior, which some callers (and tests) still pin.
-    struct GcConfig {
-        bool enabled = false;
-        /// Fraction of `capacity` left live after a collection; the
-        /// evicted headroom is what amortizes the O(live) index rebuild.
-        /// Clamped so a collection always keeps >= 1 and frees >= 1.
-        double keep_fraction = 0.5;
-    };
+    /// Fraction of the capacity left live after a collection; the
+    /// evicted headroom is what amortizes the O(live) index rebuild.
+    /// Clamped so a collection always keeps >= 1 and frees >= 1.
+    static constexpr double kKeepFraction = 0.5;
 
-    /// `capacity` == 0 disables the store (record() drops everything).
-    explicit NogoodStore(std::size_t capacity);
-
-    /// A store that collects instead of rejecting when full.
-    NogoodStore(std::size_t capacity, GcConfig gc);
-
-    /// Test-only: inject a custom hasher (e.g. a constant, to force every
+    /// A store of at most `capacity` (>= 1) live nogoods. `hasher` is
+    /// test-only: inject a custom hasher (e.g. a constant, to force every
     /// record into one collision bucket). Dedup must survive any hasher.
-    NogoodStore(std::size_t capacity, Hasher hasher);
+    explicit NogoodStore(std::size_t capacity, Hasher hasher = nullptr);
 
     /// Record a conflicting assignment set. Literals are canonicalized
     /// (sorted, deduplicated); empty sets and duplicates of live
-    /// nogoods are dropped. A full store either rejects the record
-    /// (GC off — the legacy dead end) or retires its least active
-    /// nogoods to make room (GC on). Returns true iff newly stored.
+    /// nogoods are dropped. A full store retires its least active
+    /// nogoods to make room. Returns true iff newly stored.
     bool record(std::vector<NogoodLiteral> literals);
 
     /// Would assigning `var := value` complete a stored nogood, given
@@ -218,11 +203,6 @@ public:
     /// the searcher reclaims at restart and component boundaries.
     std::size_t reclaim();
 
-    /// Records dropped because the store was full (GC off only; with GC
-    /// on, a full store evicts instead and this stays 0).
-    std::size_t rejected_at_capacity() const noexcept {
-        return rejected_at_capacity_;
-    }
     /// Records dropped as exact duplicates of a stored nogood (literal
     /// vectors compared, not hashes).
     std::size_t rejected_as_duplicate() const noexcept {
@@ -240,7 +220,7 @@ public:
 private:
     /// Retire the least active live nogoods down to the keep target,
     /// rebuilding the watch and dedup indices without them. Called by
-    /// record() when the live count reaches capacity and GC is on.
+    /// record() when the live count reaches capacity.
     void collect();
     static std::uint64_t literal_key(topo::VertexId var,
                                      topo::VertexId value) noexcept {
@@ -248,7 +228,6 @@ private:
     }
 
     std::size_t capacity_ = 0;
-    GcConfig gc_;
     Hasher hasher_;  // null = the default literal-vector hash
     /// Stable element addresses (see all()); push_back on a deque never
     /// invalidates references to existing elements.
@@ -272,7 +251,6 @@ private:
     std::size_t live_ = 0;
     std::size_t evicted_ = 0;
     std::size_t gc_runs_ = 0;
-    std::size_t rejected_at_capacity_ = 0;
     std::size_t rejected_as_duplicate_ = 0;
 };
 

@@ -185,18 +185,6 @@ std::string apply_options_json(const util::Json& overrides,
         } else if (key == "time_budget_ms") {
             err = expect_uint(value, key.c_str(), u);
             if (err.empty()) options.time_budget_ms = u;
-        } else if (key == "nogood_learning") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.solver.nogood_learning = b;
-        } else if (key == "restarts") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.solver.restarts = b;
-        } else if (key == "nogood_gc") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.solver.nogood_gc = b;
-        } else if (key == "backjumping") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.solver.backjumping = b;
         } else if (key == "live_exchange") {
             err = expect_bool(value, key.c_str(), b);
             if (err.empty()) options.solver.live_exchange = b;

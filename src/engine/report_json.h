@@ -52,7 +52,6 @@ util::Json report_to_json(const SolveReport& report);
 /// like nogood_pool/pool_file): "max_depth", "subdivision_stages",
 /// "max_backtracks", "num_threads", "shard_threads", "fix_identity",
 /// "run_prefix_depth", "max_landing_round", "time_budget_ms",
-/// "nogood_learning", "restarts", "nogood_gc", "backjumping",
 /// "live_exchange".
 /// Returns "" on success, else a diagnostic naming the offending key
 /// (unknown keys are errors: a typo must not silently solve with

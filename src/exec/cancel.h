@@ -27,7 +27,7 @@ namespace gact::exec {
 /// advisory — an observer seeing it late merely runs one more unit of
 /// work, the same unit-level uncertainty self-scheduling has anyway —
 /// and no data flows through it (results are published by joins and
-/// mutexes, exactly as in util/parallel.h).
+/// mutexes, exactly as in exec/for_index.h).
 class CancelToken {
 public:
     /// A fresh root token: not cancelled, no deadline, no parent.

@@ -5,14 +5,15 @@
 #include "core/lt_pipeline.h"
 #include "iis/projection.h"
 #include "iis/run_enumeration.h"
+#include "lt_witness.h"
 
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace gact::iis {
 namespace {
+
+using test_support::build_lt_witness;
+using test_support::LtWitness;
 
 OrderedPartition conc(std::initializer_list<ProcessId> procs) {
     return OrderedPartition::concurrent(ProcessSet::of(procs));
@@ -96,7 +97,7 @@ TEST(AffineProjection, AlternatingPairConvergesInsideTheEdge) {
 TEST(AffineProjection, LandingSimplicesContainTheProjection) {
     // Cross-module: the L_1 pipeline's landing simplex of a run contains
     // pi(r) — landing localizes the limit point.
-    const core::LtPipeline p = core::build_lt_pipeline(2, 1, 2);
+    const LtWitness p = build_lt_witness(2, 1, 2);
     const iis::TResilientModel res1(3, 1);
     std::size_t checked = 0;
     for (const iis::Run& r :
@@ -114,7 +115,7 @@ TEST(AffineProjection, LandingSimplicesContainTheProjection) {
 TEST(AffineProjection, GeometricModelMembership) {
     // The geometric model pi^{-1}(|L_1|): runs converging into the
     // figure's central region.
-    const core::LtPipeline p = core::build_lt_pipeline(2, 1, 1);
+    const LtWitness p = build_lt_witness(2, 1, 1);
     const GeometricModel into_l1(
         "pi^-1(L_1)", [&p](const topo::BaryPoint& x) {
             return core::point_in_l(p.task, x);

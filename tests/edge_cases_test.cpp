@@ -6,17 +6,18 @@
 #include "core/act_solver.h"
 #include "core/lt_pipeline.h"
 
-// Some edge cases intentionally exercise the deprecated
-// build_lt_pipeline shim.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #include "iis/projection.h"
 #include "iis/run_enumeration.h"
 #include "tasks/standard_tasks.h"
 #include "topology/homology.h"
 #include "topology/subdivision.h"
+#include "lt_witness.h"
 
 namespace gact {
 namespace {
+
+using test_support::build_lt_witness;
+using test_support::LtWitness;
 
 using topo::ChromaticComplex;
 using topo::Simplex;
@@ -175,11 +176,19 @@ TEST(EdgeCases, ActDepthZeroOnly) {
 }
 
 TEST(EdgeCases, PipelineNeedsAStabilizationStage) {
-    EXPECT_THROW(core::build_lt_pipeline(2, 1, 0), precondition_error);
+    // Two uniform Chr stages and no stabilization stage: nothing is
+    // stable yet, so the approximation CSP is never attempted.
+    const tasks::AffineTask l1 = tasks::t_resilience_task(2, 1);
+    const engine::GeneralWitness witness = engine::build_general_witness(
+        l1, engine::LtStableRule(2, 1), 2, /*fix_identity=*/true,
+        core::LtGuidance::kRadial, core::SolverConfig::fast());
+    EXPECT_TRUE(witness.tsub.stable_complex().is_empty());
+    EXPECT_FALSE(witness.delta.has_value());
+    EXPECT_THROW(build_lt_witness(2, 1, 0), precondition_error);
 }
 
 TEST(EdgeCases, FindLandingHorizonZeroFindsNothing) {
-    const core::LtPipeline p = core::build_lt_pipeline(2, 1, 1);
+    const LtWitness p = build_lt_witness(2, 1, 1);
     const iis::Run lockstep = iis::Run::forever(
         3, iis::OrderedPartition::concurrent(ProcessSet::full(3)));
     EXPECT_FALSE(core::find_landing(p.tsub, lockstep, 0).has_value());

@@ -5,6 +5,7 @@
 #include "core/lt_pipeline.h"
 #include "engine/scenario_registry.h"
 #include "tasks/standard_tasks.h"
+#include "lt_witness.h"
 
 namespace gact::engine {
 namespace {
@@ -87,13 +88,11 @@ TEST(Engine, ResTRouteReproducesLtPipelineWitness) {
     ASSERT_TRUE(report.witness.has_value());
     ASSERT_NE(report.tsub, nullptr);
 
-// The comparison target is the deprecated shim, on purpose: the engine
-// route must reproduce what the historical pipeline produced.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const core::LtPipeline pipeline = core::build_lt_pipeline(2, 1, 2);
-#pragma GCC diagnostic pop
-    EXPECT_EQ(report.total_backtracks, pipeline.csp_backtracks);
+    // The comparison target is the Section 9.2 construction driven
+    // directly: the engine route must reproduce it.
+    const test_support::LtWitness pipeline =
+        test_support::build_lt_witness(2, 1, 2);
+    EXPECT_EQ(report.total_backtracks, pipeline.backtracks);
     EXPECT_EQ(report.witness->vertex_map(), pipeline.delta.vertex_map());
     EXPECT_EQ(report.tsub->stable_complex().vertex_ids().size(),
               pipeline.tsub.stable_complex().vertex_ids().size());

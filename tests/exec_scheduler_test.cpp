@@ -3,12 +3,17 @@
 // keeps the representative-failure contract (lowest-submission-index
 // rethrow), nested groups are deadlock-free down to a 1-worker pool,
 // CancelToken propagates parent -> child -> grandchild but never up,
-// deadlines fire under full-pool contention, and ExecStats counters
-// round-trip through a known workload.
+// deadlines fire under full-pool contention, ExecStats counters
+// round-trip through a known workload, and for_index keeps its loop
+// contract (every index exactly once, the inline path stops at the
+// throwing index, one representative exception from the lowest slot,
+// unclaimed units cancelled).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -210,6 +215,94 @@ TEST(ForIndex, BoundsParallelismNotPoolSize) {
         in_flight.fetch_sub(1);
     });
     EXPECT_LE(peak.load(), 2);
+}
+
+TEST(ForIndex, RunsEveryIndexExactlyOnce) {
+    Scheduler scheduler(4);
+    constexpr std::size_t kN = 1000;
+    std::vector<std::atomic<int>> hits(kN);
+    for (auto& h : hits) h.store(0);
+    for_index(scheduler, kN, 4, [&](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+}
+
+TEST(ForIndex, InlinePathStopsAtTheThrowingIndex) {
+    // max_parallelism <= 1 is the inline loop: indices before the throw
+    // ran, none after (the deterministic degenerate case of the
+    // cancellation contract).
+    Scheduler scheduler(4);
+    std::vector<int> ran;
+    EXPECT_THROW(for_index(scheduler, 10, 1,
+                           [&](std::size_t i) {
+                               if (i == 3) {
+                                   throw std::runtime_error("unit 3");
+                               }
+                               ran.push_back(static_cast<int>(i));
+                           }),
+                 std::runtime_error);
+    EXPECT_EQ(ran, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(ForIndex, ThrowsExactlyOneExceptionAndStopsUnclaimedUnits) {
+    // Every unit throws, tagged by its index. Exactly one exception may
+    // propagate (concurrent throws must not terminate), it must be one
+    // of the thrown tags, and the stop flag must cancel most of the
+    // range: each loop task records at most one exception before it
+    // stops pulling units, so far fewer than n units can ever start.
+    Scheduler scheduler(4);
+    constexpr std::size_t kN = 10000;
+    std::atomic<std::size_t> started{0};
+    std::string tag;
+    try {
+        for_index(scheduler, kN, 4, [&](std::size_t i) {
+            started.fetch_add(1, std::memory_order_relaxed);
+            throw std::runtime_error(std::to_string(i));
+        });
+        FAIL() << "an exception must propagate";
+    } catch (const std::runtime_error& e) {
+        tag = e.what();
+    }
+    EXPECT_LT(std::stoul(tag), kN);
+    EXPECT_LE(started.load(), 64u);
+}
+
+TEST(ForIndex, MultiThrowRethrowsTheLowestSlot) {
+    // Block every loop task at a rendezvous until each holds a unit,
+    // then release them all into the throw, so every slot records an
+    // exception and the join-time scan rethrows the lowest slot's.
+    // Slot numbers are not observable from outside, but with all slots
+    // filled exactly one exception must propagate every round (never
+    // std::terminate, never zero), and it must be a claimed unit's tag.
+    constexpr unsigned kSlots = 4;
+    Scheduler scheduler(kSlots);
+    for (int round = 0; round < 8; ++round) {
+        std::atomic<unsigned> arrived{0};
+        std::mutex tags_mutex;
+        std::set<std::string> claimed_tags;
+        std::string tag;
+        try {
+            for_index(scheduler, kSlots, kSlots, [&](std::size_t i) {
+                {
+                    const std::lock_guard<std::mutex> lock(tags_mutex);
+                    claimed_tags.insert(std::to_string(i));
+                }
+                arrived.fetch_add(1, std::memory_order_relaxed);
+                while (arrived.load(std::memory_order_relaxed) < kSlots) {
+                }
+                throw std::runtime_error(std::to_string(i));
+            });
+            FAIL() << "an exception must propagate";
+        } catch (const std::runtime_error& e) {
+            tag = e.what();
+        }
+        EXPECT_EQ(claimed_tags.size(), kSlots);
+        EXPECT_EQ(claimed_tags.count(tag), 1u)
+            << "propagated '" << tag << "' was never thrown";
+    }
 }
 
 TEST(Scheduler, DetachedSubmitRunsAndSwallowsThrows) {

@@ -7,14 +7,15 @@
 #include "core/lt_pipeline.h"
 #include "tasks/standard_tasks.h"
 #include "topology/subdivision.h"
+#include "lt_witness.h"
 
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace gact::topo {
 namespace {
+
+using test_support::build_lt_witness;
+using test_support::LtWitness;
 
 TEST(FacetGraph, SingleTriangle) {
     const FacetGraph g(SimplicialComplex::from_facets({Simplex{0, 1, 2}}));
@@ -69,7 +70,7 @@ TEST(FacetGraph, RingOneSplitsIntoThreeCornerStrips) {
     // The collar ring R_1 of the L_1 construction is one strip per
     // forbidden corner — the structure the Section 9.2 figure shows and
     // that the CSP solver exploits via component decomposition.
-    const core::LtPipeline p = core::build_lt_pipeline(2, 1, 2);
+    const LtWitness p = build_lt_witness(2, 1, 2);
     SimplicialComplex ring1;
     for (const Simplex& f : p.tsub.stable_facets()) {
         if (core::ring_of_stable_facet(p.tsub, f) == 1) ring1.add_simplex(f);

@@ -12,17 +12,18 @@
 
 #include "protocol/gact_protocol.h"
 #include "protocol/verifier.h"
+#include "lt_witness.h"
 
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace gact::protocol {
 namespace {
 
+using test_support::build_lt_witness;
+using test_support::LtWitness;
+
 TEST(GactDepth2Stress, SampledDepthTwoFamilyIsSolved) {
-    const core::LtPipeline pipeline = core::build_lt_pipeline(2, 1, 3);
+    const LtWitness pipeline = build_lt_witness(2, 1, 3);
     const iis::TResilientModel res1(3, 1);
     std::vector<iis::Run> runs;
     std::size_t i = 0;
@@ -46,7 +47,7 @@ TEST(GactDepth2Stress, TheHistoricalCounterexampleRun) {
     // The exact run that exposed the per-run-landing incoherence: it
     // shares p1's round-2 view with a concurrent-round-2 sibling but
     // drifts toward corner 0 (the laggard p0 pulls the averages).
-    const core::LtPipeline pipeline = core::build_lt_pipeline(2, 1, 3);
+    const LtWitness pipeline = build_lt_witness(2, 1, 3);
     const iis::Run drifting(
         3,
         {iis::OrderedPartition::sequential({0, 2, 1}),

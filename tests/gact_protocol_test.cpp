@@ -8,17 +8,18 @@
 #include <gtest/gtest.h>
 
 #include "protocol/verifier.h"
+#include "lt_witness.h"
 
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace gact::protocol {
 namespace {
 
+using test_support::build_lt_witness;
+using test_support::LtWitness;
+
 struct Fixture {
-    core::LtPipeline pipeline = core::build_lt_pipeline(2, 1, 2);
+    LtWitness pipeline = build_lt_witness(2, 1, 2);
     std::vector<iis::Run> runs;
     ViewArena arena;
     GactProtocolBuild build;

@@ -7,26 +7,27 @@
 
 #include "protocol/gact_protocol.h"
 #include "protocol/verifier.h"
+#include "lt_witness.h"
 
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace gact::core {
 namespace {
 
+using test_support::build_lt_witness;
+using test_support::LtWitness;
+
 TEST(LtWaitFreeDegeneracy, EverythingStabilizesAtDepthTwo) {
-    const LtPipeline p = build_lt_pipeline(2, 2, 1);
+    const LtWitness p = build_lt_witness(2, 2, 1);
     // K(T) is all of Chr^2 s: GACT collapses to ACT (Section 7).
     EXPECT_EQ(p.tsub.stable_facets().size(), 169u);
     EXPECT_EQ(p.task.l_complex.facets().size(), 169u);
     // delta is the identity (every stable vertex is an L vertex).
-    EXPECT_EQ(p.csp_backtracks, 0u);
+    EXPECT_EQ(p.backtracks, 0u);
 }
 
 TEST(LtWaitFreeDegeneracy, AdmissibleForAllWaitFreeRuns) {
-    const LtPipeline p = build_lt_pipeline(2, 2, 1);
+    const LtWitness p = build_lt_witness(2, 2, 1);
     const auto runs = iis::enumerate_stabilized_runs(3, 1);
     const AdmissibilityReport report = check_admissibility(p.tsub, runs, 4);
     EXPECT_TRUE(report.admissible);
@@ -35,7 +36,7 @@ TEST(LtWaitFreeDegeneracy, AdmissibleForAllWaitFreeRuns) {
 }
 
 TEST(LtWaitFreeDegeneracy, ProtocolSolvesLnWaitFree) {
-    const LtPipeline p = build_lt_pipeline(2, 2, 1);
+    const LtWitness p = build_lt_witness(2, 2, 1);
     const auto runs = iis::enumerate_stabilized_runs(3, 1);
     iis::ViewArena arena;
     const auto build = protocol::build_gact_protocol(
@@ -48,7 +49,7 @@ TEST(LtWaitFreeDegeneracy, ProtocolSolvesLnWaitFree) {
 }
 
 TEST(LtZeroResilient, BuildsAndAvoidsTheOneSkeleton) {
-    const LtPipeline p = build_lt_pipeline(2, 0, 2);
+    const LtWitness p = build_lt_witness(2, 0, 2);
     // The forbidden region is the whole boundary (n-t-1 = 1 skeleton):
     // every stable vertex is interior.
     for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
@@ -58,7 +59,7 @@ TEST(LtZeroResilient, BuildsAndAvoidsTheOneSkeleton) {
 }
 
 TEST(LtZeroResilient, SolvesInResZero) {
-    const LtPipeline p = build_lt_pipeline(2, 0, 2);
+    const LtWitness p = build_lt_witness(2, 0, 2);
     const iis::TResilientModel res0(3, 0);
     const auto runs = iis::filter_by_model(
         iis::enumerate_stabilized_runs(3, 1), res0);
@@ -80,7 +81,7 @@ TEST(LtZeroResilient, SolvesInResZero) {
 TEST(LtZeroResilient, TwoFastRunsDoNotLand) {
     // With t = 0, a run whose fast set misses a process converges to the
     // boundary, which K(T) avoids entirely.
-    const LtPipeline p = build_lt_pipeline(2, 0, 2);
+    const LtWitness p = build_lt_witness(2, 0, 2);
     const iis::Run duo = iis::Run::forever(
         3, iis::OrderedPartition::concurrent(ProcessSet::of({0, 1})));
     EXPECT_FALSE(iis::TResilientModel(3, 0).contains(duo));
@@ -89,8 +90,8 @@ TEST(LtZeroResilient, TwoFastRunsDoNotLand) {
 
 TEST(LtSpectrum, StableFacetCountsGrowWithStages) {
     // More stages extend K(T) monotonically (Sigma_k increasing).
-    const LtPipeline two = build_lt_pipeline(2, 1, 2);
-    const LtPipeline three = build_lt_pipeline(2, 1, 3);
+    const LtWitness two = build_lt_witness(2, 1, 2);
+    const LtWitness three = build_lt_witness(2, 1, 3);
     EXPECT_GT(three.tsub.stable_facets().size(),
               two.tsub.stable_facets().size());
     // The earlier rings agree.

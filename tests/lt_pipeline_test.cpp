@@ -3,29 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include "lt_witness.h"
 
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace gact::core {
 namespace {
 
+using test_support::build_lt_witness;
+using test_support::LtWitness;
+
 // Build once; the pipeline is deterministic and somewhat expensive.
-const LtPipeline& pipeline21() {
-    static const LtPipeline p = build_lt_pipeline(2, 1, 2);
+const LtWitness& pipeline21() {
+    static const LtWitness p = build_lt_witness(2, 1, 2);
     return p;
 }
 
 TEST(LtPipeline, BuildsForN2T1) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     EXPECT_FALSE(p.tsub.stable_complex().is_empty());
     EXPECT_EQ(p.task.task.validate(), "");
 }
 
 TEST(LtPipeline, RingZeroIsL1) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     // Ring-0 stable facets are exactly the facets of L_1.
     std::size_t ring0 = 0;
     for (const Simplex& f : p.tsub.stable_facets()) {
@@ -35,7 +36,7 @@ TEST(LtPipeline, RingZeroIsL1) {
 }
 
 TEST(LtPipeline, RingsPartitionStableFacets) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     std::map<std::size_t, std::size_t> by_ring;
     for (const Simplex& f : p.tsub.stable_facets()) {
         ++by_ring[ring_of_stable_facet(p.tsub, f)];
@@ -47,7 +48,7 @@ TEST(LtPipeline, RingsPartitionStableFacets) {
 }
 
 TEST(LtPipeline, StableVerticesAvoidForbiddenSkeleton) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     // No stable vertex of K(T) lies on the 0-skeleton (corners), by the
     // stabilization rule (n - t = 1).
     for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
@@ -56,7 +57,7 @@ TEST(LtPipeline, StableVerticesAvoidForbiddenSkeleton) {
 }
 
 TEST(LtPipeline, DeltaIsAValidApproximation) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     // delta is chromatic, simplicial, and carrier-preserving into Delta.
     const ChromaticComplex& k = p.tsub.stable_complex();
     EXPECT_TRUE(p.delta.is_simplicial(k.complex(),
@@ -70,7 +71,7 @@ TEST(LtPipeline, DeltaIsAValidApproximation) {
 }
 
 TEST(LtPipeline, DeltaIsIdentityOnRingZero) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
         const auto lv = p.task.subdivision.find_vertex(
             p.tsub.stable_position(v), p.tsub.stable_complex().color(v));
@@ -81,14 +82,14 @@ TEST(LtPipeline, DeltaIsIdentityOnRingZero) {
 }
 
 TEST(LtPipeline, RadialProjectionFixesL) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     const topo::BaryPoint center = topo::BaryPoint::barycenter(
         Simplex{0, 1, 2});
     EXPECT_EQ(radial_projection_l1(p.task, center), center);
 }
 
 TEST(LtPipeline, RadialProjectionSendsOutsideToBoundary) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     // A point near corner 0 (outside L_1) projects onto the boundary.
     const topo::BaryPoint x{{{0, Rational(9, 10)},
                              {1, Rational(1, 20)},
@@ -109,7 +110,7 @@ TEST(LtPipeline, RadialProjectionSendsOutsideToBoundary) {
 TEST(LtPipeline, RadialProjectionPreservesBoundaryFaces) {
     // The paper: "radial projection preserves boundaries". A point on an
     // edge of s projects to a point of the same edge.
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     const topo::BaryPoint x{{{0, Rational(19, 20)}, {1, Rational(1, 20)}}};
     ASSERT_FALSE(point_in_l(p.task, x));
     const topo::BaryPoint fx = radial_projection_l1(p.task, x);
@@ -118,7 +119,7 @@ TEST(LtPipeline, RadialProjectionPreservesBoundaryFaces) {
 
 TEST(LtPipeline, RadialProjectionOnStableVertices) {
     // f is defined on all of |K(T)| and is the identity exactly on R_0.
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
         const topo::BaryPoint& x = p.tsub.stable_position(v);
         const topo::BaryPoint fx = radial_projection_l1(p.task, x);
@@ -130,7 +131,7 @@ TEST(LtPipeline, RadialProjectionOnStableVertices) {
 }
 
 TEST(LtPipeline, AdmissibleForResilientRuns) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     const iis::TResilientModel res1(3, 1);
     const auto runs = iis::filter_by_model(
         iis::enumerate_stabilized_runs(3, 1), res1);
@@ -146,7 +147,7 @@ TEST(LtPipeline, AdmissibleForResilientRuns) {
 TEST(LtPipeline, SoloRunNeverLands) {
     // A solo run converges to a corner, which K(T) never covers: not
     // admissible — and indeed not a Res_1 run.
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     const iis::Run solo = iis::Run::forever(
         3, iis::OrderedPartition::concurrent(ProcessSet::of({0})));
     EXPECT_FALSE(find_landing(p.tsub, solo, 10).has_value());
@@ -154,7 +155,7 @@ TEST(LtPipeline, SoloRunNeverLands) {
 }
 
 TEST(LtPipeline, FullyConcurrentRunLandsImmediately) {
-    const LtPipeline& p = pipeline21();
+    const LtWitness& p = pipeline21();
     const iis::Run lockstep = iis::Run::forever(
         3, iis::OrderedPartition::concurrent(ProcessSet::full(3)));
     const auto landing = find_landing(p.tsub, lockstep, 8);

@@ -1,8 +1,8 @@
-// The nogood eviction lifecycle of PR 6: a full store must evict its
-// least useful nogoods instead of rejecting new ones (the old
-// rejected_at_capacity_ dead end silently froze all learning for the
-// rest of the search), and eviction must respect the PR-5 lifetime
-// contract — a reference handed out by blocking_nogood() / all().back()
+// The nogood eviction lifecycle: a full store must evict its least
+// useful nogoods instead of rejecting new ones (rejecting them would
+// silently freeze all learning for the rest of the search), and
+// eviction must respect the lifetime contract — a reference handed out
+// by blocking_nogood() / all().back()
 // stays readable across record() calls, including the records that
 // trigger a collection, because GC only *retires* a nogood (drops it
 // from the watch and dedup indices); the literal buffers are freed
@@ -20,39 +20,21 @@ using core::LiveNogoodExchange;
 using core::NogoodLiteral;
 using core::NogoodStore;
 
-NogoodStore::GcConfig gc_on(double keep_fraction = 0.5) {
-    NogoodStore::GcConfig gc;
-    gc.enabled = true;
-    gc.keep_fraction = keep_fraction;
-    return gc;
-}
-
 /// A distinct two-literal nogood per i (never a duplicate).
 std::vector<NogoodLiteral> distinct_nogood(topo::VertexId i) {
     return {{i + 100, i}, {i + 10000, i + 1}};
 }
 
 TEST(NogoodGc, EvictsInsteadOfRejectingAtCapacity) {
-    NogoodStore store(8, gc_on(0.5));
+    NogoodStore store(8);
     for (topo::VertexId i = 0; i < 100; ++i) {
         // Every record is admitted: a full store collects, never rejects.
         ASSERT_TRUE(store.record(distinct_nogood(i))) << "record " << i;
         EXPECT_LE(store.live(), 8u);
     }
-    EXPECT_EQ(store.rejected_at_capacity(), 0u);
     EXPECT_EQ(store.size(), 100u);  // ids stay stable: nothing is erased
     EXPECT_GT(store.gc_runs(), 0u);
     EXPECT_EQ(store.evicted(), store.size() - store.live());
-}
-
-TEST(NogoodGc, RejectionModeIsUnchangedWithoutGc) {
-    NogoodStore store(3);
-    for (topo::VertexId i = 0; i < 10; ++i) store.record(distinct_nogood(i));
-    EXPECT_EQ(store.size(), 3u);
-    EXPECT_EQ(store.live(), 3u);
-    EXPECT_EQ(store.rejected_at_capacity(), 7u);
-    EXPECT_EQ(store.evicted(), 0u);
-    EXPECT_EQ(store.gc_runs(), 0u);
 }
 
 TEST(NogoodGc, HeldBlockingReferenceSurvivesCollectionsUntilReclaim) {
@@ -61,7 +43,7 @@ TEST(NogoodGc, HeldBlockingReferenceSurvivesCollectionsUntilReclaim) {
     // returned, then force enough records that the collection retires
     // the very nogood it points into. Retirement must leave the literal
     // buffer intact; only reclaim() frees it.
-    NogoodStore store(4, gc_on(0.5));
+    NogoodStore store(4);
     ASSERT_TRUE(store.record({{1, 10}, {2, 20}}));
 
     std::unordered_map<topo::VertexId, topo::VertexId> assignment{{2, 20}};
@@ -101,7 +83,7 @@ TEST(NogoodGc, HeldBlockingReferenceSurvivesCollectionsUntilReclaim) {
 TEST(NogoodGc, CollectionKeepsTheFiringNogoodOverIdleOnes) {
     // LBD/activity aging: a nogood that keeps blocking branches must
     // outlive idle ones recorded at the same time.
-    NogoodStore store(8, gc_on(0.5));
+    NogoodStore store(8);
     for (topo::VertexId i = 0; i < 8; ++i) {
         ASSERT_TRUE(store.record(distinct_nogood(i)));
     }
@@ -133,7 +115,7 @@ TEST(NogoodGc, ReRecordingARetiredNogoodIsAdmittedAgain) {
     // Retirement removes the nogood from the dedup index too: if the
     // search re-proves a forgotten conflict, it is re-learned (a fresh
     // id), not silently dropped as a duplicate of a dead entry.
-    NogoodStore store(4, gc_on(0.5));
+    NogoodStore store(4);
     ASSERT_TRUE(store.record({{1, 10}, {2, 20}}));
     ASSERT_FALSE(store.record({{1, 10}, {2, 20}}));  // live duplicate
     EXPECT_EQ(store.rejected_as_duplicate(), 1u);
@@ -149,7 +131,7 @@ TEST(NogoodGc, ExchangePublishesAreCopiesAndOutliveEvictionAndReclaim) {
     // points into a store — publish() copies the canonical literal
     // vector — so collecting and reclaiming the publisher's store must
     // not disturb entries an importer has yet to drain.
-    NogoodStore store(4, gc_on(0.5));
+    NogoodStore store(4);
     LiveNogoodExchange exchange;
     ASSERT_TRUE(store.record({{1, 10}, {2, 20}}));
     ASSERT_TRUE(exchange.publish(0, store.all().back()));
@@ -170,20 +152,25 @@ TEST(NogoodGc, ExchangePublishesAreCopiesAndOutliveEvictionAndReclaim) {
     EXPECT_EQ(seen, 1u);
 }
 
-TEST(NogoodGc, KeepFractionBoundsTheSurvivorsAndZeroCapacityStaysInert) {
-    NogoodStore store(16, gc_on(0.25));
+TEST(NogoodGc, KeepFractionBoundsTheSurvivors) {
+    NogoodStore store(16);
     for (topo::VertexId i = 0; i < 17; ++i) {
         ASSERT_TRUE(store.record(distinct_nogood(i)));
     }
-    // One collection fired at live == 16, keeping floor(16 * 0.25) = 4,
-    // then the 17th record landed on top.
+    // One collection fired at live == 16, keeping 16 * kKeepFraction =
+    // 8, then the 17th record landed on top.
+    EXPECT_EQ(NogoodStore::kKeepFraction, 0.5);
     EXPECT_EQ(store.gc_runs(), 1u);
-    EXPECT_EQ(store.live(), 5u);
-    EXPECT_EQ(store.evicted(), 12u);
+    EXPECT_EQ(store.live(), 9u);
+    EXPECT_EQ(store.evicted(), 8u);
 
-    NogoodStore disabled(0, gc_on(0.5));
-    EXPECT_FALSE(disabled.record({{1, 1}}));
-    EXPECT_EQ(disabled.size(), 0u);
+    // A one-entry store still collects: keep >= 1 and free >= 1 clamp
+    // to "retire the lone nogood, admit the new one".
+    NogoodStore tiny(1);
+    ASSERT_TRUE(tiny.record({{1, 1}}));
+    ASSERT_TRUE(tiny.record({{2, 2}}));
+    EXPECT_EQ(tiny.live(), 1u);
+    EXPECT_TRUE(tiny.is_retired(0));
 }
 
 }  // namespace

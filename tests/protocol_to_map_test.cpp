@@ -7,14 +7,15 @@
 #include "protocol/gact_protocol.h"
 #include "protocol/simple_protocols.h"
 #include "tasks/standard_tasks.h"
+#include "lt_witness.h"
 
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace gact::core {
 namespace {
+
+using test_support::build_lt_witness;
+using test_support::LtWitness;
 
 TEST(ViewOfVertex, DepthZeroIsInitialView) {
     iis::SubdivisionChain chain(topo::ChromaticComplex::standard_simplex(2));
@@ -99,7 +100,7 @@ TEST(ExtractEta, GactLtProtocolIsPartialAtEveryDepth) {
     // depth k, some Chr^k vertex has a view outside the protocol's domain
     // (the solo corner views never land in K(T)). This is the
     // introduction's point about non-compact models: no uniform k_T.
-    const LtPipeline pipeline = build_lt_pipeline(2, 1, 2);
+    const LtWitness pipeline = build_lt_witness(2, 1, 2);
     const iis::TResilientModel res1(3, 1);
     const auto runs = iis::filter_by_model(
         iis::enumerate_stabilized_runs(3, 1), res1);

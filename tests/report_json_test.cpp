@@ -114,13 +114,13 @@ TEST(ReportJson, OptionOverridesApplyToTheRightKnobs) {
     overrides.set("max_depth", 5);
     overrides.set("max_backtracks", 1234);
     overrides.set("shard_threads", 3);
-    overrides.set("restarts", false);
+    overrides.set("live_exchange", false);
     overrides.set("fix_identity", false);
     ASSERT_EQ(apply_options_json(overrides, options), "");
     EXPECT_EQ(options.max_depth, 5);
     EXPECT_EQ(options.solver.max_backtracks, 1234u);
     EXPECT_EQ(options.shard_threads, 3u);
-    EXPECT_FALSE(options.solver.restarts);
+    EXPECT_FALSE(options.solver.live_exchange);
     EXPECT_FALSE(options.fix_identity);
 }
 
@@ -133,9 +133,20 @@ TEST(ReportJson, OptionOverridesRejectBadInput) {
     std::string err = apply_options_json(unknown, options);
     EXPECT_NE(err.find("unknown option 'max_deppth'"), std::string::npos)
         << err;
+    // The search strategy is fixed: the former layer toggles are unknown
+    // keys like any typo.
+    for (const char* removed :
+         {"nogood_learning", "restarts", "nogood_gc", "backjumping"}) {
+        util::Json toggle = util::Json::object();
+        toggle.set(removed, false);
+        err = apply_options_json(toggle, options);
+        EXPECT_NE(err.find("unknown option '" + std::string(removed) + "'"),
+                  std::string::npos)
+            << err;
+    }
 
     util::Json wrong_type = util::Json::object();
-    wrong_type.set("restarts", 1);  // must be a boolean
+    wrong_type.set("live_exchange", 1);  // must be a boolean
     EXPECT_NE(apply_options_json(wrong_type, options), "");
 
     util::Json negative = util::Json::object();
@@ -151,7 +162,7 @@ TEST(ReportJson, OptionOverridesRejectBadInput) {
     // Every rejection left the options untouched (the accepted knobs).
     EXPECT_EQ(options.solver.max_backtracks,
               defaults.solver.max_backtracks);
-    EXPECT_EQ(options.solver.restarts, defaults.solver.restarts);
+    EXPECT_EQ(options.solver.live_exchange, defaults.solver.live_exchange);
 }
 
 TEST(ReportJson, ScenarioFromRequestResolvesNamesAndOverrides) {

@@ -1,19 +1,24 @@
-// The solver's incremental layers must be invisible except in wall
-// time: for every scenario in the standard registry, solving with the
-// evaluation cache, nogood learning, conflict-directed backjumping,
-// Luby restarts, nogood GC, and/or the cross-solve SharedNogoodPool
-// toggled must produce the identical SolveReport verdict and witness
-// as the plain PR-2 forward-checking engine. Plus unit coverage for
-// the bounded NogoodStore (including the hash-collision dedup
-// regression), the SharedNogoodPool, the EvalCache/AllowedComplexLru
-// capacity behavior, the capacity-stall regression GC removes, and the
+// The shipped solver's incremental layers must be invisible except in
+// wall time and counters: for every quick scenario in the standard
+// registry and every cell of the quick sweep grid, the shipped engine
+// (evaluation cache, nogood learning with collection and Luby restarts,
+// conflict-directed backjumping, and optionally the cross-solve
+// SharedNogoodPool, the mid-flight exchange, and the portfolio race)
+// must produce the identical SolveReport verdict and witness as the
+// seed's naive backtracker — the one independent reference. Plus the
+// nogood lifecycle at the shipped constants, unit coverage for the
+// bounded NogoodStore (including the hash-collision dedup regression),
+// the SharedNogoodPool, the AllowedComplexLru capacity behavior, and the
 // portfolio counter-merge audit.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "core/act_solver.h"
 #include "core/eval_cache.h"
 #include "core/nogood_store.h"
 #include "engine/engine.h"
+#include "engine/report_json.h"
 #include "engine/scenario_registry.h"
 #include "tasks/standard_tasks.h"
 
@@ -24,117 +29,120 @@ using core::NogoodLiteral;
 using core::NogoodStore;
 using core::SharedNogoodPool;
 
-// --- property: solver-layer toggles never change verdicts or witnesses --
+// --- property: the shipped engine agrees with the naive reference -------
 
-core::SolverConfig with_layers(bool eval_cache, bool nogoods,
-                               bool backjumping = false) {
-    core::SolverConfig c = core::SolverConfig::fast();
-    c.eval_cache = eval_cache;
-    c.nogood_learning = nogoods;
-    c.backjumping = backjumping;
-    if (!eval_cache) c.allowed_lru_capacity = 0;
-    return c;
-}
-
-void expect_equivalent(const engine::SolveReport& plain,
-                       const engine::SolveReport& layered,
-                       const std::string& label) {
-    EXPECT_EQ(plain.verdict, layered.verdict) << label;
-    ASSERT_EQ(plain.witness.has_value(), layered.witness.has_value())
-        << label;
-    if (plain.witness.has_value()) {
-        EXPECT_EQ(plain.witness->vertex_map(), layered.witness->vertex_map())
-            << label;
-    }
-    EXPECT_EQ(plain.witness_depth, layered.witness_depth) << label;
-    ASSERT_EQ(plain.admissibility.has_value(),
-              layered.admissibility.has_value())
-        << label;
-    if (plain.admissibility.has_value()) {
-        EXPECT_EQ(plain.admissibility->admissible,
-                  layered.admissibility->admissible)
-            << label;
-    }
-}
-
-TEST(SolverCacheProperty, LayersPreserveEveryRegistryVerdictAndWitness) {
-    const engine::Engine eng;
-    for (const auto& spec : engine::ScenarioRegistry::standard().specs()) {
-        if (spec.heavy) continue;  // minutes-scale builds; covered by CI benches
+/// Every scenario the property tests cover: the non-heavy registry specs
+/// (heavy ones are minutes-scale builds, covered by CI benches) and the
+/// quick sweep grid.
+std::vector<engine::Scenario> covered_scenarios() {
+    const engine::ScenarioRegistry& registry =
+        engine::ScenarioRegistry::standard();
+    std::vector<engine::Scenario> out;
+    for (const auto& spec : registry.specs()) {
+        if (spec.heavy) continue;
         engine::Scenario scenario = spec.make();
         scenario.name = spec.name;
+        out.push_back(std::move(scenario));
+    }
+    for (engine::Scenario& cell : registry.quick_grid()) {
+        out.push_back(std::move(cell));
+    }
+    return out;
+}
 
-        scenario.options.solver = with_layers(false, false);
-        const engine::SolveReport plain = eng.solve(scenario);
+/// The naive backtracker's report for `scenario` (same budgets), solved
+/// once per name and shared by every property test in this binary.
+const engine::SolveReport& naive_reference(const engine::Scenario& scenario) {
+    static std::map<std::string, engine::SolveReport> solved;
+    const auto it = solved.find(scenario.name);
+    if (it != solved.end()) return it->second;
+    engine::Scenario naive = scenario;
+    naive.options.nogood_pool = nullptr;
+    naive.options.solver =
+        core::SolverConfig::naive(scenario.options.solver.max_backtracks);
+    return solved.emplace(scenario.name, engine::Engine().solve(naive))
+        .first->second;
+}
 
-        scenario.options.solver = with_layers(true, false);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [cache]");
+void expect_equivalent(const engine::SolveReport& reference,
+                       const engine::SolveReport& shipped,
+                       const std::string& label) {
+    EXPECT_EQ(reference.verdict, shipped.verdict) << label;
+    ASSERT_EQ(reference.witness.has_value(), shipped.witness.has_value())
+        << label;
+    if (reference.witness.has_value()) {
+        EXPECT_EQ(engine::witness_digest_hex(*reference.witness),
+                  engine::witness_digest_hex(*shipped.witness))
+            << label;
+        EXPECT_EQ(reference.witness->vertex_map(),
+                  shipped.witness->vertex_map())
+            << label;
+    }
+    EXPECT_EQ(reference.witness_depth, shipped.witness_depth) << label;
+    ASSERT_EQ(reference.admissibility.has_value(),
+              shipped.admissibility.has_value())
+        << label;
+    if (reference.admissibility.has_value()) {
+        EXPECT_EQ(reference.admissibility->admissible,
+                  shipped.admissibility->admissible)
+            << label;
+    }
+}
 
-        scenario.options.solver = with_layers(true, true);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [cache+nogoods]");
-
-        scenario.options.solver = with_layers(false, true);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [nogoods]");
-
-        // Conflict-directed backjumping, alone and with learning on (so
-        // exhausted-level conflict sets are recorded as nogoods too).
-        scenario.options.solver = with_layers(false, false, true);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [backjump]");
-
-        scenario.options.solver = with_layers(true, true, true);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [cache+nogoods+backjump]");
+TEST(SolverCacheProperty, ShippedEngineMatchesTheNaiveReference) {
+    const engine::Engine eng;
+    const std::vector<engine::Scenario> scenarios = covered_scenarios();
+    EXPECT_GE(scenarios.size(), 30u);
+    for (const engine::Scenario& scenario : scenarios) {
+        const engine::SolveReport& reference = naive_reference(scenario);
+        // A budget-exhausted reference would make the comparison
+        // vacuous: the seed backtracker settles every covered scenario.
+        EXPECT_NE(reference.verdict, engine::Verdict::kBudgetExhausted)
+            << scenario.name;
+        expect_equivalent(reference, eng.solve(scenario), scenario.name);
     }
 }
 
 TEST(SolverCacheProperty, SharedPoolPreservesEveryRegistryVerdictAndWitness) {
     // Cross-solve reuse is pruning-only: a scenario solved cold, then
     // twice more against the pool its first solve populated, must report
-    // the identical verdict and witness every time — and all of it must
-    // match the pool-less plain solve.
+    // the identical verdict and witness every time — the naive
+    // reference's.
     const engine::Engine eng;
     for (const auto& spec : engine::ScenarioRegistry::standard().specs()) {
         if (spec.heavy) continue;
         engine::Scenario scenario = spec.make();
         scenario.name = spec.name;
-
-        scenario.options.solver = with_layers(false, false);
-        const engine::SolveReport plain = eng.solve(scenario);
+        const engine::SolveReport& reference = naive_reference(scenario);
 
         scenario.options.nogood_pool =
             std::make_shared<SharedNogoodPool>();
-        scenario.options.solver = core::SolverConfig::fast();
-        expect_equivalent(plain, eng.solve(scenario),
+        expect_equivalent(reference, eng.solve(scenario),
                           spec.name + " [pool cold]");
-        expect_equivalent(plain, eng.solve(scenario),
+        expect_equivalent(reference, eng.solve(scenario),
                           spec.name + " [pool warm 1]");
-        expect_equivalent(plain, eng.solve(scenario),
+        expect_equivalent(reference, eng.solve(scenario),
                           spec.name + " [pool warm 2]");
     }
 }
 
 TEST(SolverCacheProperty, ExchangePoolThreadMatrixPreservesVerdictAndWitness) {
-    // The PR-5 toggle matrix: mid-flight exchange on/off x cross-solve
-    // pool on/off x threads 1/N, every cell bit-identical to the plain
-    // single-threaded PR-2 engine. The N-thread cells run the portfolio
-    // undiversified (diversify_portfolio = false): every thread then
-    // performs the identical search, so whichever thread settles
-    // reports the same witness — which is what makes "bit-identical
-    // across the matrix" a deterministic assertion rather than a race
-    // (with diversification on, *which* witness wins is timing; the
-    // per-thread searches are still witness-invariant under exchange
-    // imports, since pruned subtrees never contain a witness).
+    // Mid-flight exchange on/off x cross-solve pool on/off x threads
+    // 1/N, every cell bit-identical to the naive reference. The
+    // N-thread cells run the portfolio undiversified
+    // (diversify_portfolio = false): every thread then performs the
+    // identical search, so whichever thread settles reports the same
+    // witness — which is what makes "bit-identical across the matrix" a
+    // deterministic assertion rather than a race (with diversification
+    // on, *which* witness wins is timing; the per-thread searches are
+    // still witness-invariant under exchange imports, since pruned
+    // subtrees never contain a witness).
     const engine::Engine eng;
     for (const auto& spec : engine::ScenarioRegistry::standard().specs()) {
         if (spec.heavy) continue;
         engine::Scenario scenario = spec.make();
         scenario.name = spec.name;
-        scenario.options.solver = with_layers(false, false);
-        const engine::SolveReport plain = eng.solve(scenario);
+        const engine::SolveReport& reference = naive_reference(scenario);
 
         for (const bool pool : {false, true}) {
             for (const bool exchange : {false, true}) {
@@ -155,11 +163,11 @@ TEST(SolverCacheProperty, ExchangePoolThreadMatrixPreservesVerdictAndWitness) {
                         std::to_string(pool) + " exchange=" +
                         std::to_string(exchange) + " threads=" +
                         std::to_string(threads) + "]";
-                    expect_equivalent(plain, eng.solve(cell), label);
+                    expect_equivalent(reference, eng.solve(cell), label);
                     if (pool) {
                         // Warm re-solve against the pool the cold cell
                         // populated: still bit-identical.
-                        expect_equivalent(plain, eng.solve(cell),
+                        expect_equivalent(reference, eng.solve(cell),
                                           label + " warm");
                     }
                 }
@@ -168,59 +176,25 @@ TEST(SolverCacheProperty, ExchangePoolThreadMatrixPreservesVerdictAndWitness) {
     }
 }
 
-TEST(SolverCacheProperty, RestartGcMatrixPreservesVerdictAndWitness) {
-    // The PR-6 axes: Luby restarts on/off x nogood GC on/off, with both
-    // mechanisms forced to actually fire on quick scenarios —
-    // restart_unit = 2 abandons the tree after two backtracks, and a
-    // four-entry store collects on the fifth distinct conflict. A
-    // restarted search replays the identical deterministic DFS with a
-    // superset of the pruning knowledge, and a collection only forgets
-    // pruning shortcuts, so every cell must stay bit-identical to the
-    // plain PR-2 engine.
-    const engine::Engine eng;
-    for (const auto& spec : engine::ScenarioRegistry::standard().specs()) {
-        if (spec.heavy) continue;
-        engine::Scenario scenario = spec.make();
-        scenario.name = spec.name;
-        scenario.options.solver = with_layers(false, false);
-        const engine::SolveReport plain = eng.solve(scenario);
+// --- the nogood lifecycle at the shipped constants ----------------------
 
-        for (const bool restarts : {false, true}) {
-            for (const bool gc : {false, true}) {
-                engine::Scenario cell = spec.make();
-                cell.name = spec.name;
-                core::SolverConfig solver = core::SolverConfig::fast();
-                solver.restarts = restarts;
-                solver.restart_unit = 2;
-                solver.nogood_gc = gc;
-                solver.nogood_capacity = 4;
-                cell.options.solver = solver;
-                const std::string label =
-                    spec.name + " [restarts=" + std::to_string(restarts) +
-                    " gc=" + std::to_string(gc) + "]";
-                expect_equivalent(plain, eng.solve(cell), label);
-            }
-        }
-    }
-}
-
-// --- the capacity-stall regression (what the GC exists to fix) ----------
-
-TEST(NogoodLifecycle, GcKeepsLearningPastTheCapacityWhereTheOldStoreFroze) {
+TEST(NogoodLifecycle, StoreCollectsAndRestartsFireAtTheShippedConstants) {
     using topo::ChromaticComplex;
     using topo::Simplex;
     using topo::SimplicialComplex;
 
-    // Every branch dies instantly: the codomain has four color-matching
+    // Every branch dies instantly: the codomain has 5,000 color-matching
     // candidates per domain vertex but not a single edge, so each root
     // assignment wipes out its neighbors' domains and records one unit
-    // nogood — more distinct conflicts than a two-entry store can hold.
+    // nogood — more distinct conflicts than the 4,096-entry store can
+    // hold, and more backtracks than the first Luby runs allot.
+    constexpr topo::VertexId kPerColor = 5000;
     const ChromaticComplex domain(
         SimplicialComplex::from_facets({Simplex{0, 1, 2}}),
         {{0, 0}, {1, 1}, {2, 2}});
     std::vector<Simplex> isolated_vertices;
     std::unordered_map<topo::VertexId, topo::Color> colors;
-    for (topo::VertexId v = 10; v < 22; ++v) {
+    for (topo::VertexId v = 10; v < 10 + 3 * kPerColor; ++v) {
         isolated_vertices.push_back(Simplex{v});
         colors[v] = static_cast<topo::Color>((v - 10) % 3);
     }
@@ -234,26 +208,17 @@ TEST(NogoodLifecycle, GcKeepsLearningPastTheCapacityWhereTheOldStoreFroze) {
         return edgeless.complex();
     };
 
-    core::SolverConfig gc_on = core::SolverConfig::fast();
-    gc_on.nogood_capacity = 2;
-    gc_on.nogood_gc = true;
-    const auto with_gc = core::solve_chromatic_map(problem, gc_on);
-    EXPECT_FALSE(with_gc.map.has_value());
-    EXPECT_TRUE(with_gc.exhausted);
-    // The point of the PR: recording continues past the cap...
-    EXPECT_GT(with_gc.counters.nogoods_recorded, gc_on.nogood_capacity);
-    // ...because collections made room.
-    EXPECT_GT(with_gc.counters.nogoods_evicted, 0u);
-
-    // The legacy dead end, still reachable via the knob: the same
-    // search with GC off freezes learning the moment the store fills.
-    core::SolverConfig gc_off = gc_on;
-    gc_off.nogood_gc = false;
-    const auto without_gc = core::solve_chromatic_map(problem, gc_off);
-    EXPECT_FALSE(without_gc.map.has_value());
-    EXPECT_TRUE(without_gc.exhausted);
-    EXPECT_LE(without_gc.counters.nogoods_recorded, gc_off.nogood_capacity);
-    EXPECT_EQ(without_gc.counters.nogoods_evicted, 0u);
+    const auto result =
+        core::solve_chromatic_map(problem, core::SolverConfig::fast());
+    EXPECT_FALSE(result.map.has_value());
+    EXPECT_TRUE(result.exhausted);
+    // Recording continues past the capacity...
+    EXPECT_EQ(result.counters.nogoods_recorded, 5000u);
+    EXPECT_GT(result.counters.nogoods_recorded, core::kNogoodCapacity);
+    // ...because one collection retired the idle half of the store...
+    EXPECT_EQ(result.counters.nogoods_evicted, 2048u);
+    // ...and the Luby schedule abandoned the tree along the way.
+    EXPECT_EQ(result.counters.restarts, 6u);
 }
 
 // --- the counter-accumulation audit (SearchCounters::add) ---------------
@@ -412,21 +377,6 @@ TEST(PortfolioMerge, CountersAreThreadCountIndependentOnDeterministicRaces) {
     }
 }
 
-TEST(SolverCacheProperty, LayersPreserveTheActSearchBacktrackProfile) {
-    // With nogoods off, the cache must not even change the search shape:
-    // backtrack counts per depth are bit-identical.
-    const tasks::AffineTask ln = tasks::t_resilience_task(1, 1);
-    const core::ActResult plain =
-        core::run_act_search(ln.task, 3, with_layers(false, false));
-    const core::ActResult cached =
-        core::run_act_search(ln.task, 3, with_layers(true, false));
-    EXPECT_EQ(plain.solvable, cached.solvable);
-    EXPECT_EQ(plain.witness_depth, cached.witness_depth);
-    EXPECT_EQ(plain.backtracks_per_depth, cached.backtracks_per_depth);
-    ASSERT_TRUE(plain.eta.has_value());
-    EXPECT_EQ(plain.eta->vertex_map(), cached.eta->vertex_map());
-}
-
 // --- NogoodStore unit coverage ------------------------------------------
 
 TEST(NogoodStore, RecordsAndBlocksCompletedNogoods) {
@@ -455,19 +405,6 @@ TEST(NogoodStore, UnitNogoodBlocksUnconditionally) {
     EXPECT_FALSE(store.blocked(7, 4, empty));
 }
 
-TEST(NogoodStore, CapsAtConfiguredSize) {
-    NogoodStore store(3);
-    EXPECT_EQ(store.capacity(), 3u);
-    for (topo::VertexId i = 0; i < 10; ++i) {
-        store.record({{i, i}, {i + 100, i}});
-    }
-    EXPECT_EQ(store.size(), 3u);
-    EXPECT_EQ(store.rejected_at_capacity(), 7u);
-    // Stored nogoods keep working at capacity.
-    std::unordered_map<topo::VertexId, topo::VertexId> assignment{{100, 0}};
-    EXPECT_TRUE(store.blocked(0, 0, assignment));
-}
-
 TEST(NogoodStore, DropsEmptyAndDuplicateRecords) {
     NogoodStore store(8);
     EXPECT_FALSE(store.record({}));
@@ -477,10 +414,8 @@ TEST(NogoodStore, DropsEmptyAndDuplicateRecords) {
     EXPECT_EQ(store.size(), 1u);
 }
 
-TEST(NogoodStore, ZeroCapacityDisablesRecording) {
-    NogoodStore store(0);
-    EXPECT_FALSE(store.record({{1, 1}}));
-    EXPECT_EQ(store.size(), 0u);
+TEST(NogoodStore, ZeroCapacityIsRejected) {
+    EXPECT_THROW(NogoodStore store(0), precondition_error);
 }
 
 TEST(NogoodStore, HashCollisionMustNotDropADistinctNogood) {
