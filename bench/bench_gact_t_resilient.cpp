@@ -121,9 +121,9 @@ void BM_SingleRunLanding(benchmark::State& state) {
     const iis::Run behind = iis::Run::forever(
         3,
         iis::OrderedPartition({ProcessSet::of({0, 1}), ProcessSet::of({2})}));
+    const core::LandingIndex index(*s.report.tsub);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            core::find_landing(*s.report.tsub, behind, 8));
+        benchmark::DoNotOptimize(core::find_landing(index, behind, 8));
     }
 }
 BENCHMARK(BM_SingleRunLanding)->Unit(benchmark::kMillisecond);

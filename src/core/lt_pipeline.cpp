@@ -21,27 +21,9 @@ bool lt_stable_rule(int n, int t, const SubdividedComplex& cx,
 
 std::size_t ring_of_stable_facet(const TerminatingSubdivision& tsub,
                                  const Simplex& global_facet) {
-    // A facet belongs to ring m when it first appears in Sigma_{m+2}; we
-    // recover this from the stage complexes by locating its vertices.
-    for (std::size_t k = 2; k < tsub.stages(); ++k) {
-        const SubdividedComplex& cx = tsub.complex_at(k);
-        bool all_found = true;
-        std::vector<VertexId> stage_verts;
-        for (VertexId v : global_facet.vertices()) {
-            const auto sv = cx.find_vertex(
-                tsub.stable_position(v), tsub.stable_complex().color(v));
-            if (!sv.has_value()) {
-                all_found = false;
-                break;
-            }
-            stage_verts.push_back(*sv);
-        }
-        if (all_found &&
-            tsub.stable_at(k).contains(Simplex(stage_verts))) {
-            return k - 2;
-        }
-    }
-    throw precondition_error("ring_of_stable_facet: facet is not stable");
+    // Ring m first appears in Sigma_{m+2}; a simplex stabilized before
+    // stage 2 (by some other rule) persists into Sigma_2: ring 0.
+    return std::max<std::size_t>(tsub.stable_since(global_facet), 2) - 2;
 }
 
 bool point_in_l(const tasks::AffineTask& lt, const BaryPoint& x) {
@@ -369,53 +351,56 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
     return problem;
 }
 
-std::optional<Landing> find_landing(const TerminatingSubdivision& tsub,
+std::optional<Landing> find_landing(const LandingIndex& index,
                                     const iis::Run& run,
                                     std::size_t max_round) {
-    const int n = tsub.base().dimension();
-    std::vector<VertexId> inputs;
-    for (int i = 0; i <= n; ++i) inputs.push_back(static_cast<VertexId>(i));
-
     // The landing simplex must live inside the face spanned by the run's
     // participants: condition (2) of Definition 4.1 constrains outputs to
     // Delta(omega ∩ chi^{-1}(part(r))), and condition (b) of Theorem 6.1
     // delivers delta(tau) in Delta(carrier(tau)) — so tau's carrier must
     // be a face of the participation face. The candidates are the
     // maximal stable simplices of K(T) restricted to that face.
-    std::vector<VertexId> face_verts;
-    for (gact::ProcessId p : run.participants().members()) {
-        face_verts.push_back(static_cast<VertexId>(p));
+    require(run.num_processes() ==
+                static_cast<std::uint32_t>(
+                    index.subdivision().base().dimension() + 1),
+            "find_landing: one base vertex per process");
+    const ProcessSet face = run.participants();
+    std::vector<std::optional<BaryPoint>> row(run.num_processes());
+    for (gact::ProcessId p = 0; p < run.num_processes(); ++p) {
+        row[p] = BaryPoint::vertex(static_cast<VertexId>(p));
     }
-    const Simplex face{std::move(face_verts)};
-    std::vector<Simplex> candidates;
-    for (const Simplex& tau :
-         tsub.stable_complex().complex().simplices_of_dimension(
-             face.dimension())) {
-        if (tsub.stable_carrier(tau).is_face_of(face)) {
-            candidates.push_back(tau);
-        }
-    }
-
+    std::vector<BaryPoint> points;
     for (std::size_t k = 1; k <= max_round; ++k) {
-        const auto points = iis::run_simplex_positions(run, k, inputs);
-        for (const Simplex& tau : candidates) {
-            if (tsub.stable_simplex_contains(tau, points)) {
-                return Landing{k, tau,
-                               std::max(k, tsub.stable_since(tau))};
-            }
+        // sigma_k: the round-k views of round k's processes. Rows advance
+        // one round at a time and stop at the landing round.
+        row = iis::next_view_positions(run, k, row);
+        points.clear();
+        for (gact::ProcessId p : run.round(k - 1).support().members()) {
+            points.push_back(*row[p]);
+        }
+        if (const LandingIndex::Entry* tau =
+                index.landing_simplex(face, points)) {
+            return Landing{k, tau->simplex, std::max(k, tau->stable_since)};
         }
     }
     return std::nullopt;
 }
 
+std::optional<Landing> find_landing(const TerminatingSubdivision& tsub,
+                                    const iis::Run& run,
+                                    std::size_t max_round) {
+    return find_landing(LandingIndex(tsub), run, max_round);
+}
+
 AdmissibilityReport check_admissibility(const TerminatingSubdivision& tsub,
                                         const std::vector<iis::Run>& runs,
                                         std::size_t max_round) {
+    const LandingIndex index(tsub);
     AdmissibilityReport report;
     report.admissible = true;
     for (const iis::Run& run : runs) {
         ++report.runs_checked;
-        const auto landing = find_landing(tsub, run, max_round);
+        const auto landing = find_landing(index, run, max_round);
         if (!landing.has_value()) {
             report.admissible = false;
             report.failures.push_back(run);

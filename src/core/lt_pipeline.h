@@ -25,6 +25,7 @@
 
 #include "core/chromatic_csp.h"
 #include "core/eval_cache.h"
+#include "core/landing_index.h"
 #include "core/terminating_subdivision.h"
 #include "iis/projection.h"
 #include "iis/run_enumeration.h"
@@ -72,7 +73,7 @@ bool lt_stable_rule(int n, int t, const SubdividedComplex& cx,
                     const Simplex& s);
 
 /// The ring index of a stable facet: 0 for R_0 (stable at depth 2), m for
-/// the facets first stabilized at depth m+2.
+/// the facets first stabilized at depth m+2 (stable_since - 2).
 std::size_t ring_of_stable_facet(const TerminatingSubdivision& tsub,
                                  const Simplex& global_facet);
 
@@ -91,7 +92,7 @@ std::vector<Simplex> l_boundary_edges(const tasks::AffineTask& lt);
 
 /// Admissibility of T for a set of runs (Theorem 6.1 condition (a)):
 /// every run's simplex chain must enter the realization of some stable
-/// facet by round `max_round`.
+/// facet by round `max_round`. Builds one LandingIndex for all the runs.
 struct AdmissibilityReport {
     bool admissible = false;
     std::size_t runs_checked = 0;
@@ -114,7 +115,15 @@ struct Landing {
     std::size_t output_round = 0;
 };
 
-/// Landing of a single run, if it happens by max_round.
+/// Landing of a single run, if it happens by max_round. The candidates
+/// of round k are tested in the index's sorted order; the first that
+/// contains sigma_k is the landing simplex.
+std::optional<Landing> find_landing(const LandingIndex& index,
+                                    const iis::Run& run,
+                                    std::size_t max_round);
+
+/// The same for one run, building a LandingIndex of `tsub` first; reuse
+/// an index when testing many runs.
 std::optional<Landing> find_landing(const TerminatingSubdivision& tsub,
                                     const iis::Run& run,
                                     std::size_t max_round);

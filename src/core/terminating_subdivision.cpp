@@ -8,11 +8,7 @@
 namespace gact::core {
 
 TerminatingSubdivision::TerminatingSubdivision(const ChromaticComplex& base)
-    : base_(base) {
-    Stage s;
-    s.complex = SubdividedComplex::identity(base);
-    stages_.push_back(std::move(s));
-}
+    : base_(base), sigma_(1), newest_(SubdividedComplex::identity(base)) {}
 
 VertexId TerminatingSubdivision::global_id(
     const SubdividedComplex& stage_complex, VertexId v) {
@@ -32,10 +28,10 @@ void TerminatingSubdivision::advance(
     const std::function<bool(const SubdividedComplex&, const Simplex&)>&
         stabilize,
     unsigned num_threads) {
-    require(!stages_.empty(),
+    require(!sigma_.empty(),
             "TerminatingSubdivision: advance on an empty placeholder");
-    Stage& current = stages_.back();
-    const SubdividedComplex& cx = current.complex;
+    SimplicialComplex& current_stable = sigma_.back();
+    const SubdividedComplex& cx = newest_;
 
     // Collect Sigma_k: previously stable simplices persist; new ones come
     // from the predicate. Closure under faces is enforced by construction
@@ -50,15 +46,15 @@ void TerminatingSubdivision::advance(
         exec::Scheduler::shared(), facets.size(), num_threads,
         [&](std::size_t fi) {
             for (const Simplex& s : facets[fi].faces()) {
-                if (current.stable.contains(s)) continue;
+                if (current_stable.contains(s)) continue;
                 if (stabilize(cx, s)) selected[fi].push_back(s);
             }
         });
     std::vector<Simplex> newly_stable;
     for (const std::vector<Simplex>& faces : selected) {
         for (const Simplex& s : faces) {
-            if (current.stable.contains(s)) continue;
-            current.stable.add_simplex(s);
+            if (current_stable.contains(s)) continue;
+            current_stable.add_simplex(s);
             newly_stable.push_back(s);
         }
     }
@@ -66,12 +62,12 @@ void TerminatingSubdivision::advance(
     // Record the newly stable simplices into the global complex, stamping
     // first-stabilization stages (faces stabilize with their cofaces).
     // Only the simplices selected THIS stage need recording: everything
-    // else in current.stable is either a face of one of them (covered by
+    // else in current_stable is either a face of one of them (covered by
     // the closure walk below) or the persisted image of a simplex that
     // was recorded — under the same position/color global ids — at an
     // earlier stage, where stable_since_ already holds its first
     // stabilization stage (emplace keeps the first stamp).
-    const std::size_t stage = stages_.size() - 1;
+    const std::size_t stage = sigma_.size() - 1;
     // global_id resolves through the exact-rational position index;
     // memoize per stage so each stage vertex pays for one probe however
     // many stable simplices share it.
@@ -96,9 +92,8 @@ void TerminatingSubdivision::advance(
     stable_stale_ = true;
 
     // Build C_{k+1}: partial chromatic subdivision terminating Sigma_k.
-    const SimplicialComplex& sigma = current.stable;
-    Stage next;
-    next.complex = cx.chromatic_subdivision_with_termination(
+    const SimplicialComplex& sigma = current_stable;
+    SubdividedComplex next = cx.chromatic_subdivision_with_termination(
         [&sigma](const Simplex& t) { return sigma.contains(t); },
         num_threads);
 
@@ -118,7 +113,7 @@ void TerminatingSubdivision::advance(
                 verts.push_back(memo->second);
                 continue;
             }
-            const auto nv = next.complex.find_vertex(
+            const auto nv = next.find_vertex(
                 cx.position(v), cx.complex().color(v));
             ensure(nv.has_value(),
                    "TerminatingSubdivision: stable vertex vanished");
@@ -126,14 +121,18 @@ void TerminatingSubdivision::advance(
             verts.push_back(*nv);
         }
         Simplex image{std::move(verts)};
-        ensure(next.complex.complex().contains(image),
+        ensure(next.complex().contains(image),
                "TerminatingSubdivision: stable simplex not preserved");
         images.push_back(std::move(image));
     }
     // Sigma_k is closed under faces and the vertexwise image of a closed
     // set is closed, so the images need no per-simplex closure walk.
-    next.stable = SimplicialComplex::from_closed(std::move(images));
-    stages_.push_back(std::move(next));
+    // C_k is released here: every later reader goes through K(T), and the
+    // older stage complexes dominated a retained subdivision's memory.
+    SimplicialComplex next_stable =
+        SimplicialComplex::from_closed(std::move(images));
+    newest_ = std::move(next);
+    sigma_.push_back(std::move(next_stable));
 }
 
 const ChromaticComplex& TerminatingSubdivision::stable_complex() const {
@@ -148,14 +147,16 @@ const ChromaticComplex& TerminatingSubdivision::stable_complex() const {
 
 const SubdividedComplex& TerminatingSubdivision::complex_at(
     std::size_t k) const {
-    require(k < stages_.size(), "TerminatingSubdivision: stage not built");
-    return stages_[k].complex;
+    require(k < stages(), "TerminatingSubdivision: stage not built");
+    require(k + 1 == stages(),
+            "TerminatingSubdivision: only the newest stage complex is kept");
+    return newest_;
 }
 
 const SimplicialComplex& TerminatingSubdivision::stable_at(
     std::size_t k) const {
-    require(k < stages_.size(), "TerminatingSubdivision: stage not built");
-    return stages_[k].stable;
+    require(k < stages(), "TerminatingSubdivision: stage not built");
+    return sigma_[k];
 }
 
 const BaryPoint& TerminatingSubdivision::stable_position(

@@ -53,12 +53,14 @@ public:
                  unsigned num_threads = 1);
 
     /// Number of stages built (C_0 .. C_{stages()-1}).
-    std::size_t stages() const noexcept { return stages_.size(); }
+    std::size_t stages() const noexcept { return sigma_.size(); }
 
-    /// The stage complex C_k.
+    /// The stage complex C_k. Only the newest stage, k = stages() - 1, is
+    /// kept: advance() releases C_k once C_{k+1} is built (K(T) keeps
+    /// everything later consumers read about older stages).
     const SubdividedComplex& complex_at(std::size_t k) const;
 
-    /// The stable subcomplex Sigma_k in C_k's vertex ids.
+    /// The stable subcomplex Sigma_k in C_k's vertex ids (every stage).
     const SimplicialComplex& stable_at(std::size_t k) const;
 
     /// K(T) so far: the union of stable simplices, in global vertex ids.
@@ -102,16 +104,17 @@ public:
     const ChromaticComplex& base() const noexcept { return base_; }
 
 private:
-    struct Stage {
-        SubdividedComplex complex;
-        SimplicialComplex stable;  // Sigma_k, in this stage's vertex ids
-    };
-
     /// Intern a stage vertex into the global registry.
     VertexId global_id(const SubdividedComplex& stage_complex, VertexId v);
 
     ChromaticComplex base_;
-    std::vector<Stage> stages_;
+    // newest_ is declared after sigma_ so that it, by far the largest
+    // member, is destroyed first. In the other order the frees left
+    // glibc's per-thread arenas so fragmented that the next subdivision's
+    // first advance() took ~0.5 s instead of ~1 ms (lt-3-2-res2, 4 shard
+    // threads).
+    std::vector<SimplicialComplex> sigma_;  // Sigma_k, in C_k's vertex ids
+    SubdividedComplex newest_;              // C_{stages()-1}
 
     // Global stable complex and geometry. stable_ mirrors
     // stable_simplices_ + global_color_; advance() only marks it stale

@@ -60,6 +60,15 @@ std::vector<std::vector<std::optional<topo::BaryPoint>>> view_positions(
     const Run& run, std::size_t k,
     const std::vector<topo::VertexId>& input_vertex_of_process);
 
+/// One step of view_positions' recurrence: row m of its table from row
+/// m - 1 (m >= 1). Callers that stop at a landing round advance row by
+/// row with this instead of tabulating a horizon up front — every round
+/// multiplies denominators by another (2c-1), so rows past the landing
+/// round can overflow the exact arithmetic.
+std::vector<std::optional<topo::BaryPoint>> next_view_positions(
+    const Run& run, std::size_t m,
+    const std::vector<std::optional<topo::BaryPoint>>& previous);
+
 /// The positions spanning sigma_k: the k-th views of round k's processes
 /// (participants for k = 0). These are the points whose containment in a
 /// stable simplex realizes the landing condition of Theorem 6.1.

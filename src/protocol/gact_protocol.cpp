@@ -14,36 +14,19 @@ namespace gact::protocol {
 // and the depth-2 regression tests).
 ViewLandingRule::ViewLandingRule(const core::TerminatingSubdivision& tsub,
                                  const core::SimplicialMap& delta)
-    : tsub_(&tsub), delta_(&delta) {
-    const auto& complex = tsub.stable_complex().complex();
-    by_dimension_.resize(static_cast<std::size_t>(complex.dimension()) + 1);
-    for (const core::Simplex& s : complex.simplices()) {
-        by_dimension_[static_cast<std::size_t>(s.dimension())].push_back(s);
-    }
-}
+    : tsub_(&tsub), delta_(&delta), index_(tsub) {}
 
 std::optional<topo::VertexId> ViewLandingRule::value(
     gact::ProcessId p, std::size_t k,
     const std::vector<topo::BaryPoint>& seen_positions) const {
-    core::Simplex support;
-    for (const topo::BaryPoint& q : seen_positions) {
-        support = support.union_with(q.support());
-    }
-    for (const auto& dimension_group : by_dimension_) {
-        for (const core::Simplex& tau : dimension_group) {
-            if (!support.is_face_of(tsub_->stable_carrier(tau))) continue;
-            if (!tsub_->stable_simplex_contains(tau, seen_positions)) {
-                continue;
-            }
-            // tau is the carrier of the snapshot hull (minimal by the
-            // dimension-ascending scan): decide or withhold on it.
-            if (tsub_->stable_since(tau) > k) return std::nullopt;
-            const auto& stable = tsub_->stable_complex();
-            if (!stable.colors_of(tau).contains(p)) return std::nullopt;
-            return delta_->apply(stable.vertex_with_color(tau, p));
-        }
-    }
-    return std::nullopt;
+    // tau is the carrier of the snapshot hull (the minimal stable simplex
+    // containing it): decide or withhold on it.
+    const core::LandingIndex::Entry* tau =
+        index_.carrier_simplex(seen_positions);
+    if (tau == nullptr || tau->stable_since > k) return std::nullopt;
+    const auto& stable = tsub_->stable_complex();
+    if (!stable.colors_of(tau->simplex).contains(p)) return std::nullopt;
+    return delta_->apply(stable.vertex_with_color(tau->simplex, p));
 }
 
 GactProtocolBuild build_gact_protocol(const core::TerminatingSubdivision& tsub,

@@ -32,7 +32,9 @@ namespace gact::protocol {
 /// build_gact_protocol tabulates over a finite run family — exposed so
 /// the execution runtime (src/runtime/) can apply it on the fly to any
 /// admissible schedule, including ones outside the enumerated compact
-/// family. The referenced tsub and delta must outlive the rule.
+/// family. The rule holds a core::LandingIndex of K(T), built once and
+/// immutable, so concurrent callers share it without locks. The
+/// referenced tsub and delta must outlive the rule.
 class ViewLandingRule {
 public:
     ViewLandingRule(const core::TerminatingSubdivision& tsub,
@@ -47,7 +49,7 @@ public:
 private:
     const core::TerminatingSubdivision* tsub_;
     const core::SimplicialMap* delta_;
-    std::vector<std::vector<core::Simplex>> by_dimension_;
+    core::LandingIndex index_;
 };
 
 /// The extracted protocol plus construction diagnostics.

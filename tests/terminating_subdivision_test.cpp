@@ -15,19 +15,35 @@ const auto kEverything = [](const SubdividedComplex&, const Simplex&) {
 TEST(TerminatingSubdivision, NoStableGivesPlainChr) {
     TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
     t.advance(kNothing);
+    EXPECT_EQ(t.complex_at(1).complex().facets().size(), 13u);
     t.advance(kNothing);
     EXPECT_EQ(t.stages(), 3u);
-    EXPECT_EQ(t.complex_at(1).complex().facets().size(), 13u);
     EXPECT_EQ(t.complex_at(2).complex().facets().size(), 169u);
     EXPECT_TRUE(t.stable_complex().is_empty());
 }
 
+TEST(TerminatingSubdivision, OnlyTheNewestStageComplexIsKept) {
+    TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+    EXPECT_EQ(t.complex_at(0).complex().facets().size(), 1u);
+    t.advance(kNothing);
+    t.advance(kEverything);
+    EXPECT_THROW(t.complex_at(0), precondition_error);
+    EXPECT_THROW(t.complex_at(1), precondition_error);
+    EXPECT_THROW(t.complex_at(3), precondition_error);
+    EXPECT_EQ(t.complex_at(2).complex().facets().size(), 13u);
+    // Every Sigma_k survives its stage complex.
+    EXPECT_TRUE(t.stable_at(0).is_empty());
+    EXPECT_EQ(t.stable_at(1).size(),
+              t.complex_at(2).complex().complex().size());
+    EXPECT_EQ(t.stable_at(2).size(), t.stable_at(1).size());
+}
+
 TEST(TerminatingSubdivision, EverythingStableFreezes) {
     TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
-    t.advance(kEverything);
-    t.advance(kEverything);
     // All stages are the base complex itself.
+    t.advance(kEverything);
     EXPECT_EQ(t.complex_at(1).complex().facets().size(), 1u);
+    t.advance(kEverything);
     EXPECT_EQ(t.complex_at(2).complex().facets().size(), 1u);
     // K(T) is the base simplex (with global ids).
     EXPECT_EQ(t.stable_complex().complex().facets().size(), 1u);
@@ -142,12 +158,13 @@ TEST(TerminatingSubdivision, ShardedAdvanceIsBitIdenticalToSequential) {
     for (int i = 0; i < 4; ++i) {
         seq.advance(lt_rule, 1);
         par.advance(lt_rule, 4);
-    }
-    ASSERT_EQ(seq.stages(), par.stages());
-    for (std::size_t k = 0; k < seq.stages(); ++k) {
+        ASSERT_EQ(seq.stages(), par.stages());
+        const std::size_t k = seq.stages() - 1;
         EXPECT_EQ(seq.complex_at(k).complex().complex(),
                   par.complex_at(k).complex().complex())
             << "stage " << k;
+    }
+    for (std::size_t k = 0; k < seq.stages(); ++k) {
         EXPECT_EQ(seq.stable_at(k), par.stable_at(k)) << "stage " << k;
     }
     EXPECT_EQ(seq.stable_complex().complex(), par.stable_complex().complex());
