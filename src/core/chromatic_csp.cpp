@@ -1429,11 +1429,6 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
     return result;
 }
 
-ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
-                                       std::size_t max_backtracks) {
-    return solve_chromatic_map(problem, SolverConfig::naive(max_backtracks));
-}
-
 std::string check_chromatic_map(const ChromaticMapProblem& problem,
                                 const SimplicialMap& map) {
     if (!map.is_simplicial(problem.domain->complex(),

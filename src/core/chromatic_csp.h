@@ -334,11 +334,6 @@ struct ChromaticMapResult {
 ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
                                        const SolverConfig& config);
 
-/// @brief Compatibility entry point: the seed backtracker
-/// (SolverConfig::naive(max_backtracks)).
-ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
-                                       std::size_t max_backtracks = 1000000);
-
 /// @brief Verify that `map` is a chromatic simplicial map from
 /// problem.domain to problem.codomain with every simplex image inside
 /// its constraint complex. Returns a diagnostic or "" if valid.

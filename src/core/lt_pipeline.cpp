@@ -195,7 +195,7 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
         problem.nogood_pool = nogood_pool;
         problem.nogood_scope =
             task.task.name + "|gen|rule=" + nogood_scope_tag +
-            "|stages=" + std::to_string(tsub.stages()) +
+            "|advances=" + std::to_string(tsub.stages()) +
             "|fix=" + (fix_identity ? "1" : "0") +
             "|guide=" + std::to_string(static_cast<int>(guidance));
         problem.pool_var_key = [&tsub, nogood_pool](VertexId v) {

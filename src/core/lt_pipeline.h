@@ -51,14 +51,14 @@ enum class LtGuidance {
 ///
 /// When `nogood_pool` is non-null, the problem carries the cross-solve
 /// learning hooks (core/nogood_store.h): the scope names the task plus
-/// every problem-shaping parameter (stages, identity fixing, guidance,
+/// every problem-shaping parameter (advances, identity fixing, guidance,
 /// and `nogood_scope_tag` — the caller's name for whatever else shaped
 /// `tsub`, e.g. the StableRule that drove it), so re-solves of the same
 /// construction — including scenarios that differ only in their
 /// *model*, which never enters the CSP — share learned conflicts;
 /// literal variables travel as the pool's stable (position, color)
 /// keys, which K(T)'s global registry makes exact. Callers who
-/// materialized `tsub` by any means other than task + stages MUST
+/// materialized `tsub` by any means other than task + advances MUST
 /// encode that in the tag: two different stabilization rules over the
 /// same task pose different CSPs and must not share a scope.
 ChromaticMapProblem lt_approximation_problem(

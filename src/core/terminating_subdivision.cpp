@@ -8,7 +8,7 @@
 namespace gact::core {
 
 TerminatingSubdivision::TerminatingSubdivision(const ChromaticComplex& base)
-    : base_(base), sigma_(1), newest_(SubdividedComplex::identity(base)) {}
+    : base_(base) {}
 
 VertexId TerminatingSubdivision::global_id(
     const SubdividedComplex& stage_complex, VertexId v) {
@@ -28,9 +28,54 @@ void TerminatingSubdivision::advance(
     const std::function<bool(const SubdividedComplex&, const Simplex&)>&
         stabilize,
     unsigned num_threads) {
-    require(!sigma_.empty(),
+    require(!base_.is_empty(),
             "TerminatingSubdivision: advance on an empty placeholder");
-    SimplicialComplex& current_stable = sigma_.back();
+    if (stages_ == 0) {
+        newest_ = SubdividedComplex::identity(base_);
+    } else {
+        // Build C_k: partial chromatic subdivision of C_{k-1} terminating
+        // Sigma_{k-1}.
+        SubdividedComplex next = newest_.chromatic_subdivision_with_termination(
+            [this](const Simplex& t) { return sigma_.contains(t); },
+            num_threads);
+
+        // Sigma_{k-1} persists in C_k: terminated simplices survive with
+        // new vertex ids (matched by position + color). The per-vertex
+        // lookup goes through the exact-rational position index, so
+        // memoize it: stable simplices share vertices heavily and the map
+        // probe is the expensive part of this check.
+        std::unordered_map<VertexId, VertexId> vertex_image;
+        std::vector<Simplex> images;
+        images.reserve(sigma_.simplices().size());
+        for (const Simplex& s : sigma_.simplices()) {
+            std::vector<VertexId> verts;
+            for (VertexId v : s.vertices()) {
+                const auto memo = vertex_image.find(v);
+                if (memo != vertex_image.end()) {
+                    verts.push_back(memo->second);
+                    continue;
+                }
+                const auto nv = next.find_vertex(
+                    newest_.position(v), newest_.complex().color(v));
+                ensure(nv.has_value(),
+                       "TerminatingSubdivision: stable vertex vanished");
+                vertex_image.emplace(v, *nv);
+                verts.push_back(*nv);
+            }
+            Simplex image{std::move(verts)};
+            ensure(next.complex().contains(image),
+                   "TerminatingSubdivision: stable simplex not preserved");
+            images.push_back(std::move(image));
+        }
+        // Sigma_{k-1} is closed under faces and the vertexwise image of a
+        // closed set is closed, so the images need no per-simplex closure
+        // walk. C_{k-1} is released here: every later reader goes through
+        // K(T), and the older stage complexes dominated a retained
+        // subdivision's memory.
+        newest_ = std::move(next);
+        sigma_ = SimplicialComplex::from_closed(std::move(images));
+    }
+    const std::size_t stage = stages_++;
     const SubdividedComplex& cx = newest_;
 
     // Collect Sigma_k: previously stable simplices persist; new ones come
@@ -46,15 +91,15 @@ void TerminatingSubdivision::advance(
         exec::Scheduler::shared(), facets.size(), num_threads,
         [&](std::size_t fi) {
             for (const Simplex& s : facets[fi].faces()) {
-                if (current_stable.contains(s)) continue;
+                if (sigma_.contains(s)) continue;
                 if (stabilize(cx, s)) selected[fi].push_back(s);
             }
         });
     std::vector<Simplex> newly_stable;
     for (const std::vector<Simplex>& faces : selected) {
         for (const Simplex& s : faces) {
-            if (current_stable.contains(s)) continue;
-            current_stable.add_simplex(s);
+            if (sigma_.contains(s)) continue;
+            sigma_.add_simplex(s);
             newly_stable.push_back(s);
         }
     }
@@ -62,12 +107,11 @@ void TerminatingSubdivision::advance(
     // Record the newly stable simplices into the global complex, stamping
     // first-stabilization stages (faces stabilize with their cofaces).
     // Only the simplices selected THIS stage need recording: everything
-    // else in current_stable is either a face of one of them (covered by
-    // the closure walk below) or the persisted image of a simplex that
-    // was recorded — under the same position/color global ids — at an
+    // else in Sigma_k is either a face of one of them (covered by the
+    // closure walk below) or the persisted image of a simplex that was
+    // recorded — under the same position/color global ids — at an
     // earlier stage, where stable_since_ already holds its first
     // stabilization stage (emplace keeps the first stamp).
-    const std::size_t stage = sigma_.size() - 1;
     // global_id resolves through the exact-rational position index;
     // memoize per stage so each stage vertex pays for one probe however
     // many stable simplices share it.
@@ -90,49 +134,6 @@ void TerminatingSubdivision::advance(
         stable_simplices_.add_simplex(std::move(global));
     }
     stable_stale_ = true;
-
-    // Build C_{k+1}: partial chromatic subdivision terminating Sigma_k.
-    const SimplicialComplex& sigma = current_stable;
-    SubdividedComplex next = cx.chromatic_subdivision_with_termination(
-        [&sigma](const Simplex& t) { return sigma.contains(t); },
-        num_threads);
-
-    // Sigma_k persists in C_{k+1}: terminated simplices survive with new
-    // vertex ids (matched by position + color). The per-vertex lookup
-    // goes through the exact-rational position index, so memoize it:
-    // stable simplices share vertices heavily and the map probe is the
-    // expensive part of this check.
-    std::unordered_map<VertexId, VertexId> vertex_image;
-    std::vector<Simplex> images;
-    images.reserve(sigma.simplices().size());
-    for (const Simplex& s : sigma.simplices()) {
-        std::vector<VertexId> verts;
-        for (VertexId v : s.vertices()) {
-            const auto memo = vertex_image.find(v);
-            if (memo != vertex_image.end()) {
-                verts.push_back(memo->second);
-                continue;
-            }
-            const auto nv = next.find_vertex(
-                cx.position(v), cx.complex().color(v));
-            ensure(nv.has_value(),
-                   "TerminatingSubdivision: stable vertex vanished");
-            vertex_image.emplace(v, *nv);
-            verts.push_back(*nv);
-        }
-        Simplex image{std::move(verts)};
-        ensure(next.complex().contains(image),
-               "TerminatingSubdivision: stable simplex not preserved");
-        images.push_back(std::move(image));
-    }
-    // Sigma_k is closed under faces and the vertexwise image of a closed
-    // set is closed, so the images need no per-simplex closure walk.
-    // C_k is released here: every later reader goes through K(T), and the
-    // older stage complexes dominated a retained subdivision's memory.
-    SimplicialComplex next_stable =
-        SimplicialComplex::from_closed(std::move(images));
-    newest_ = std::move(next);
-    sigma_.push_back(std::move(next_stable));
 }
 
 const ChromaticComplex& TerminatingSubdivision::stable_complex() const {
@@ -153,12 +154,6 @@ const SubdividedComplex& TerminatingSubdivision::complex_at(
     return newest_;
 }
 
-const SimplicialComplex& TerminatingSubdivision::stable_at(
-    std::size_t k) const {
-    require(k < stages(), "TerminatingSubdivision: stage not built");
-    return sigma_[k];
-}
-
 const BaryPoint& TerminatingSubdivision::stable_position(
     VertexId global_vertex) const {
     require(global_vertex < global_position_.size(),
@@ -172,14 +167,6 @@ Simplex TerminatingSubdivision::stable_carrier(
     for (VertexId v : global_simplex.vertices()) {
         out = out.union_with(stable_position(v).support());
     }
-    return out;
-}
-
-std::vector<BaryPoint> TerminatingSubdivision::stable_positions_of(
-    const Simplex& s) const {
-    std::vector<BaryPoint> out;
-    out.reserve(s.size());
-    for (VertexId v : s.vertices()) out.push_back(stable_position(v));
     return out;
 }
 
@@ -200,7 +187,9 @@ std::optional<VertexId> TerminatingSubdivision::find_stable_vertex(
 
 bool TerminatingSubdivision::stable_simplex_contains(
     const Simplex& tau, const std::vector<BaryPoint>& points) const {
-    const std::vector<BaryPoint> vertices = stable_positions_of(tau);
+    std::vector<BaryPoint> vertices;
+    vertices.reserve(tau.size());
+    for (VertexId v : tau.vertices()) vertices.push_back(stable_position(v));
     for (const BaryPoint& p : points) {
         if (!topo::point_in_simplex(p, vertices)) return false;
     }

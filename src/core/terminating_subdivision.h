@@ -28,7 +28,9 @@ using topo::SimplicialComplex;
 using topo::SubdividedComplex;
 using topo::VertexId;
 
-/// A terminating subdivision, materialized stage by stage.
+/// A terminating subdivision, materialized one stage at a time: only the
+/// newest stage complex and its stable set are held, and K(T) collects
+/// every stable simplex in global ids.
 class TerminatingSubdivision {
 public:
     /// An empty placeholder; assign a real subdivision before use.
@@ -36,32 +38,33 @@ public:
 
     explicit TerminatingSubdivision(const ChromaticComplex& base);
 
-    /// Advance one stage: mark as stable every *not yet stable* simplex of
-    /// the current complex selected by `stabilize` (must be closed under
-    /// faces together with the already-stable simplices), then build the
-    /// next complex by partial chromatic subdivision.
+    /// Stage k = stages(): build C_k, then mark as stable every *not yet
+    /// stable* simplex of C_k selected by `stabilize` (must be closed
+    /// under faces together with the already-stable simplices) and record
+    /// Sigma_k into K(T). C_0 is the base; C_k for k > 0 is the partial
+    /// chromatic subdivision of C_{k-1} terminating Sigma_{k-1}, so every
+    /// stage complex built is scanned in the same call.
     ///
     /// `num_threads > 1` shards the stage into per-facet work units on a
-    /// self-scheduling pool: the stabilization scan and the subdivision
-    /// build (see SubdividedComplex::chromatic_subdivision_with_termination)
-    /// run in parallel, with results merged in facet order — the stage
-    /// produced is bit-identical to the single-threaded one. `stabilize`
-    /// must then be a pure predicate safe for concurrent calls (every
-    /// StableRule is).
+    /// self-scheduling pool: the subdivision build (see
+    /// SubdividedComplex::chromatic_subdivision_with_termination) and the
+    /// stabilization scan run in parallel, with results merged in facet
+    /// order — the stage produced is bit-identical to the single-threaded
+    /// one. `stabilize` must then be a pure predicate safe for concurrent
+    /// calls (every StableRule is).
     void advance(const std::function<bool(const SubdividedComplex&,
                                           const Simplex&)>& stabilize,
                  unsigned num_threads = 1);
 
-    /// Number of stages built (C_0 .. C_{stages()-1}).
-    std::size_t stages() const noexcept { return sigma_.size(); }
+    /// Number of advance() calls, which is the number of stage complexes
+    /// built (C_0 .. C_{stages()-1}); 0 before the first advance().
+    std::size_t stages() const noexcept { return stages_; }
 
-    /// The stage complex C_k. Only the newest stage, k = stages() - 1, is
-    /// kept: advance() releases C_k once C_{k+1} is built (K(T) keeps
-    /// everything later consumers read about older stages).
+    /// The stage complex C_k whose Sigma_k the last advance() recorded.
+    /// Only the newest stage, k = stages() - 1, is kept: the next
+    /// advance() releases it once C_{k+1} is built (K(T) keeps everything
+    /// later consumers read about older stages).
     const SubdividedComplex& complex_at(std::size_t k) const;
-
-    /// The stable subcomplex Sigma_k in C_k's vertex ids (every stage).
-    const SimplicialComplex& stable_at(std::size_t k) const;
 
     /// K(T) so far: the union of stable simplices, in global vertex ids.
     /// Rebuilt lazily after advance() stages (the chromatic wrapper is a
@@ -73,9 +76,6 @@ public:
 
     /// Carrier in the base complex of a global stable simplex.
     Simplex stable_carrier(const Simplex& global_simplex) const;
-
-    /// Positions of a global stable simplex's vertices, in vertex order.
-    std::vector<BaryPoint> stable_positions_of(const Simplex& s) const;
 
     /// The global id for a stable vertex given color and exact position;
     /// nullopt if no such stable vertex exists yet.
@@ -113,8 +113,9 @@ private:
     // glibc's per-thread arenas so fragmented that the next subdivision's
     // first advance() took ~0.5 s instead of ~1 ms (lt-3-2-res2, 4 shard
     // threads).
-    std::vector<SimplicialComplex> sigma_;  // Sigma_k, in C_k's vertex ids
-    SubdividedComplex newest_;              // C_{stages()-1}
+    SimplicialComplex sigma_;   // Sigma_{stages()-1}, in newest_'s ids
+    SubdividedComplex newest_;  // C_{stages()-1}
+    std::size_t stages_ = 0;
 
     // Global stable complex and geometry. stable_ mirrors
     // stable_simplices_ + global_color_; advance() only marks it stale

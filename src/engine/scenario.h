@@ -127,8 +127,8 @@ struct Scenario {
 
     EngineOptions options;
 
-    /// @brief Excluded from the quick registry sets (minutes-scale builds, e.g.
-    /// L_t at n = 3); runnable by name from the CLI.
+    /// @brief Excluded from the quick registry sets (multi-second builds,
+    /// e.g. L_t at n = 3); runnable by name from the CLI.
     bool heavy = false;
 
     /// @brief A wait-free scenario: Corollary 7.1 search on `task`.

@@ -399,7 +399,7 @@ EngineOptions wait_free_options(int max_depth) {
 
 /// The L_t options: 2 + 2 subdivision stages, radial guidance (exact
 /// for n = 2; the engine downgrades it with a warning elsewhere), and
-/// per-facet sharding on the minutes-scale n >= 3 builds.
+/// per-facet sharding on the multi-second n >= 3 builds.
 EngineOptions lt_options(int n) {
     EngineOptions o;
     o.subdivision_stages = 4;
@@ -577,7 +577,7 @@ std::vector<ScenarioFamily> build_families() {
             return "";
         },
         [](const FamilyInstance& i) {
-            // n = 3 builds are minutes-scale; the wait-free route on
+            // n = 3 builds take seconds; the wait-free route on
             // n >= 2 searches Chr^3 of a full 2-simplex task, also far
             // past quick budgets.
             return i.params[0] >= 3 ||

@@ -133,7 +133,7 @@ public:
     /// Range + cross-parameter check; "" when the instance is valid.
     std::string validate(const FamilyInstance& inst) const;
 
-    /// Is this point minutes-scale (excluded from quick sets)?
+    /// Is this point a multi-second build (excluded from quick sets)?
     bool heavy(const FamilyInstance& inst) const { return heavy_(inst); }
 
     /// Build the Scenario for a valid instance. The caller stamps

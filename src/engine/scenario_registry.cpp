@@ -71,7 +71,7 @@ ScenarioRegistry build_standard() {
     // Heavy scenarios: runnable by name, excluded from quick sets.
     r.add_alias("lt-3-2-res2",
                 "L_2 for 4 processes under Res_2 — the n = 3 pipeline "
-                "frontier (minutes-scale subdivision build; sharded per "
+                "frontier (multi-second subdivision build; sharded per "
                 "facet)",
                 "lt-3-2-res2");
 

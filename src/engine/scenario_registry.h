@@ -14,7 +14,7 @@
 //    on demand through the family codec, no registration needed.
 //
 // Listing the registry costs nothing; a scenario's complexes (some are
-// minutes-scale builds, e.g. L_t at n = 3) are only materialized when
+// multi-second builds, e.g. L_t at n = 3) are only materialized when
 // the scenario is actually requested. ScenarioRegistry::expand turns a
 // family plus a value grid into the Cartesian product of scenarios —
 // the sweep driver (tools/gact_sweep.cpp) feeds that straight into

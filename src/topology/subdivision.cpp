@@ -24,19 +24,12 @@ SubdividedComplex SubdividedComplex::identity(const ChromaticComplex& base) {
     return out;
 }
 
-SubdividedComplex SubdividedComplex::chromatic_subdivision(
-    unsigned num_threads) const {
-    return subdivide_impl([](const Simplex&) { return false; },
-                          num_threads);
+SubdividedComplex SubdividedComplex::chromatic_subdivision() const {
+    return chromatic_subdivision_with_termination(
+        [](const Simplex&) { return false; });
 }
 
 SubdividedComplex SubdividedComplex::chromatic_subdivision_with_termination(
-    const std::function<bool(const Simplex&)>& terminated,
-    unsigned num_threads) const {
-    return subdivide_impl(terminated, num_threads);
-}
-
-SubdividedComplex SubdividedComplex::subdivide_impl(
     const std::function<bool(const Simplex&)>& terminated,
     unsigned num_threads) const {
     SubdividedComplex out;

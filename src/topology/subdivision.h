@@ -38,9 +38,7 @@ public:
     static SubdividedComplex identity(const ChromaticComplex& base);
 
     /// One standard chromatic subdivision step applied to this complex.
-    /// `num_threads > 1` shards the build into per-parent-facet work
-    /// units (see chromatic_subdivision_with_termination).
-    SubdividedComplex chromatic_subdivision(unsigned num_threads = 1) const;
+    SubdividedComplex chromatic_subdivision() const;
 
     /// One *partial* chromatic subdivision step (Section 6.1): simplices
     /// for which `terminated` returns true are not subdivided. A vertex
@@ -132,10 +130,6 @@ public:
     void verify_subdivision_exactness() const;
 
 private:
-    SubdividedComplex subdivide_impl(
-        const std::function<bool(const Simplex&)>& terminated,
-        unsigned num_threads) const;
-
     ChromaticComplex base_;
     ChromaticComplex complex_;
     std::vector<BaryPoint> position_;           // indexed by VertexId

@@ -25,7 +25,7 @@ TEST(ChromaticCsp, IdentityOnStandardSimplex) {
     problem.domain = &s;
     problem.codomain = &s;
     problem.allowed = allow_all(s);
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
     // Colors force the identity.
     for (topo::VertexId v : s.vertex_ids()) {
@@ -51,7 +51,7 @@ TEST(ChromaticCsp, RetractionOfChrFoundBySearch) {
         -> const SimplicialComplex& {
         return closure.at(chr.carrier_of(sigma));
     };
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
     EXPECT_EQ(check_chromatic_map(problem, *result.map), "");
 }
@@ -72,7 +72,7 @@ TEST(ChromaticCsp, DisconnectedTargetIsUnsatisfiable) {
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
     problem.fixed = {{0, 10}, {2, 20}};
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     EXPECT_FALSE(result.map.has_value());
     EXPECT_TRUE(result.exhausted);
     EXPECT_GT(result.counters.backtracks, 0u);
@@ -91,7 +91,7 @@ TEST(ChromaticCsp, SatisfiableWithConsistentFixing) {
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
     problem.fixed = {{0, 10}, {2, 10}};
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
     EXPECT_EQ(result.map->apply(topo::VertexId{1}), 11u);
 }
@@ -111,7 +111,7 @@ TEST(ChromaticCsp, CandidateOrderIsRespected) {
     problem.candidate_order = [](topo::VertexId) {
         return std::vector<topo::VertexId>{20, 10};
     };
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
     EXPECT_EQ(result.map->apply(topo::VertexId{0}), 20u);
 }
@@ -129,7 +129,7 @@ TEST(ChromaticCsp, BacktrackBudgetReportsNonExhaustion) {
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
     problem.fixed = {{0, 10}, {2, 20}};
-    const auto result = solve_chromatic_map(problem, 1);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive(1));
     EXPECT_FALSE(result.map.has_value());
     EXPECT_FALSE(result.exhausted);
 }
@@ -152,7 +152,8 @@ TEST(ChromaticCsp, CheckRejectsBadMaps) {
 
 TEST(ChromaticCsp, MissingInputsRejected) {
     ChromaticMapProblem problem;
-    EXPECT_THROW(solve_chromatic_map(problem), precondition_error);
+    EXPECT_THROW(solve_chromatic_map(problem, SolverConfig::naive()),
+                 precondition_error);
 }
 
 // --- SolverConfig engines -------------------------------------------------

@@ -2,7 +2,7 @@
 //
 // This test is labeled `heavy` in CTest and self-skips unless
 // GACT_RUN_HEAVY=1, so the tier-1 suite stays fast while CI (and anyone
-// locally) can gate the minutes-scale n = 3 pipeline explicitly:
+// locally) can gate the multi-second n = 3 pipeline explicitly:
 //
 //   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 //

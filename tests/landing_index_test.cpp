@@ -256,39 +256,28 @@ TEST(LandingIndex, RingOfStableFacetMatchesTheStageWalk) {
     for (const engine::Scenario& cell :
          engine::ScenarioRegistry::standard().quick_grid()) {
         if (!takes_general_route(cell)) continue;
-        // Re-drive the cell's subdivision, keeping a copy of every stage
-        // complex for the walk (the subdivision itself keeps only the
-        // newest).
+        // Re-drive the cell's subdivision, keeping a snapshot of K(T)
+        // after every advance(). Global ids never change, so a snapshot
+        // holds f exactly when f was stable by that advance.
         TerminatingSubdivision tsub(cell.affine->task.inputs);
-        std::vector<SubdividedComplex> stage_complexes;
+        std::vector<SimplicialComplex> snapshots;
         const engine::StableRule& rule = *cell.options.stable_rule;
         for (std::size_t i = 0; i < cell.options.subdivision_stages; ++i) {
-            stage_complexes.push_back(tsub.complex_at(tsub.stages() - 1));
             tsub.advance([&rule](const SubdividedComplex& cx,
                                  const Simplex& s) {
                 return rule.stable(cx, s);
             });
+            snapshots.push_back(tsub.stable_complex().complex());
         }
-        stage_complexes.push_back(tsub.complex_at(tsub.stages() - 1));
 
         for (const Simplex& f : tsub.stable_facets()) {
-            // The stage walk: the first k >= 2 whose Sigma_k holds f.
+            // The stage walk: the first advance k >= 2 whose K(T) holds f.
+            // Stable simplices persist, so past the last advance K(T) is
+            // the final snapshot (cells with fewer than 3 advances).
             std::optional<std::size_t> walked;
-            for (std::size_t k = 2; k < stage_complexes.size() && !walked;
-                 ++k) {
-                const SubdividedComplex& cx = stage_complexes[k];
-                std::vector<VertexId> stage_verts;
-                for (VertexId v : f.vertices()) {
-                    const auto sv =
-                        cx.find_vertex(tsub.stable_position(v),
-                                       tsub.stable_complex().color(v));
-                    if (!sv.has_value()) break;
-                    stage_verts.push_back(*sv);
-                }
-                if (stage_verts.size() == f.size() &&
-                    tsub.stable_at(k).contains(Simplex(stage_verts))) {
-                    walked = k - 2;
-                }
+            for (std::size_t k = 2; k <= snapshots.size() && !walked; ++k) {
+                const std::size_t last = snapshots.size() - 1;
+                if (snapshots[std::min(k, last)].contains(f)) walked = k - 2;
             }
             ASSERT_TRUE(walked.has_value()) << cell.name;
             EXPECT_EQ(ring_of_stable_facet(tsub, f), *walked) << cell.name;

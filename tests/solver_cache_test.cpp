@@ -32,7 +32,7 @@ using core::SharedNogoodPool;
 // --- property: the shipped engine agrees with the naive reference -------
 
 /// Every scenario the property tests cover: the non-heavy registry specs
-/// (heavy ones are minutes-scale builds, covered by CI benches) and the
+/// (heavy ones are multi-second builds, covered by CI benches) and the
 /// quick sweep grid.
 std::vector<engine::Scenario> covered_scenarios() {
     const engine::ScenarioRegistry& registry =

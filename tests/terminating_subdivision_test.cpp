@@ -14,7 +14,12 @@ const auto kEverything = [](const SubdividedComplex&, const Simplex&) {
 
 TEST(TerminatingSubdivision, NoStableGivesPlainChr) {
     TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+    EXPECT_EQ(t.stages(), 0u);
     t.advance(kNothing);
+    EXPECT_EQ(t.stages(), 1u);
+    EXPECT_EQ(t.complex_at(0).complex().facets().size(), 1u);
+    t.advance(kNothing);
+    EXPECT_EQ(t.stages(), 2u);
     EXPECT_EQ(t.complex_at(1).complex().facets().size(), 13u);
     t.advance(kNothing);
     EXPECT_EQ(t.stages(), 3u);
@@ -22,25 +27,51 @@ TEST(TerminatingSubdivision, NoStableGivesPlainChr) {
     EXPECT_TRUE(t.stable_complex().is_empty());
 }
 
+TEST(TerminatingSubdivision, EachAdvanceBuildsTheComplexItScans) {
+    // m advances build exactly m stage complexes, C_0 .. C_{m-1}: the
+    // k-th advance() scans the complex it just built (depth k), and that
+    // complex is the one complex_at() serves afterwards.
+    TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+    for (std::size_t m = 1; m <= 4; ++m) {
+        const SubdividedComplex* scanned = nullptr;
+        std::size_t calls = 0;
+        t.advance([&](const SubdividedComplex& cx, const Simplex&) {
+            scanned = &cx;
+            ++calls;
+            EXPECT_EQ(static_cast<std::size_t>(cx.depth()), m - 1);
+            return false;
+        });
+        EXPECT_EQ(t.stages(), m);
+        EXPECT_GT(calls, 0u);
+        EXPECT_EQ(scanned, &t.complex_at(m - 1));
+        EXPECT_EQ(static_cast<std::size_t>(t.complex_at(m - 1).depth()),
+                  m - 1);
+        EXPECT_THROW(t.complex_at(m), precondition_error);
+    }
+}
+
 TEST(TerminatingSubdivision, OnlyTheNewestStageComplexIsKept) {
     TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
-    EXPECT_EQ(t.complex_at(0).complex().facets().size(), 1u);
+    EXPECT_THROW(t.complex_at(0), precondition_error);  // none built yet
     t.advance(kNothing);
+    EXPECT_TRUE(t.stable_complex().is_empty());
     t.advance(kEverything);
+    t.advance(kNothing);
     EXPECT_THROW(t.complex_at(0), precondition_error);
     EXPECT_THROW(t.complex_at(1), precondition_error);
     EXPECT_THROW(t.complex_at(3), precondition_error);
+    // All of C_1 was stabilized, so C_2 is C_1 again.
     EXPECT_EQ(t.complex_at(2).complex().facets().size(), 13u);
-    // Every Sigma_k survives its stage complex.
-    EXPECT_TRUE(t.stable_at(0).is_empty());
-    EXPECT_EQ(t.stable_at(1).size(),
+    // K(T) survives the stage complexes: it is all of C_1.
+    EXPECT_EQ(t.stable_complex().complex().size(),
               t.complex_at(2).complex().complex().size());
-    EXPECT_EQ(t.stable_at(2).size(), t.stable_at(1).size());
 }
 
 TEST(TerminatingSubdivision, EverythingStableFreezes) {
     TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
     // All stages are the base complex itself.
+    t.advance(kEverything);
+    EXPECT_EQ(t.complex_at(0).complex().facets().size(), 1u);
     t.advance(kEverything);
     EXPECT_EQ(t.complex_at(1).complex().facets().size(), 1u);
     t.advance(kEverything);
@@ -56,12 +87,12 @@ TEST(TerminatingSubdivision, Section61EdgeExample) {
     t.advance([](const SubdividedComplex& cx, const Simplex& s) {
         return cx.depth() == 0 && s.is_face_of(Simplex{0, 1});
     });
+    // Stable: the edge and its two endpoints (3 simplices).
+    EXPECT_EQ(t.stable_complex().complex().size(), 3u);
+    t.advance(kNothing);
     EXPECT_EQ(t.complex_at(1).complex().facets().size(), 11u);
     t.complex_at(1).verify_subdivision_exactness();
-    // Stable: the edge and its two endpoints (3 simplices).
-    EXPECT_EQ(t.stable_at(0).size(), 3u);
     // The stable edge persists verbatim in the next stage.
-    t.advance(kNothing);
     const auto e01 = t.stable_complex().complex().simplices_of_dimension(1);
     ASSERT_EQ(e01.size(), 1u);
     EXPECT_EQ(t.stable_carrier(e01[0]), Simplex({0, 1}));
@@ -69,9 +100,10 @@ TEST(TerminatingSubdivision, Section61EdgeExample) {
 
 TEST(TerminatingSubdivision, StableSimplicesNeverSubdividedAgain) {
     TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
-    // Stage 0: subdivide once with nothing stable.
+    // Stage 0: the base, nothing stable.
     t.advance(kNothing);
-    // Stage 1: stabilize the central facet of Chr s (all carriers full).
+    // Stage 1: C_1 = Chr s; stabilize its central facet (all carriers
+    // full).
     t.advance([](const SubdividedComplex& cx, const Simplex& s) {
         for (topo::VertexId v : s.vertices()) {
             if (!(cx.carrier(v) == Simplex({0, 1, 2}))) return false;
@@ -81,6 +113,7 @@ TEST(TerminatingSubdivision, StableSimplicesNeverSubdividedAgain) {
     const std::size_t stable_before = t.stable_complex().complex().size();
     EXPECT_GT(stable_before, 0u);
     // Two more stages: the stable part must persist unchanged.
+    t.advance(kNothing);
     t.advance(kNothing);
     const std::size_t stable_after = t.stable_complex().complex().size();
     EXPECT_EQ(stable_before, stable_after);
@@ -155,7 +188,7 @@ TEST(TerminatingSubdivision, ShardedAdvanceIsBitIdenticalToSequential) {
     };
     TerminatingSubdivision seq(topo::ChromaticComplex::standard_simplex(2));
     TerminatingSubdivision par(topo::ChromaticComplex::standard_simplex(2));
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < 5; ++i) {
         seq.advance(lt_rule, 1);
         par.advance(lt_rule, 4);
         ASSERT_EQ(seq.stages(), par.stages());
@@ -163,26 +196,26 @@ TEST(TerminatingSubdivision, ShardedAdvanceIsBitIdenticalToSequential) {
         EXPECT_EQ(seq.complex_at(k).complex().complex(),
                   par.complex_at(k).complex().complex())
             << "stage " << k;
-    }
-    for (std::size_t k = 0; k < seq.stages(); ++k) {
-        EXPECT_EQ(seq.stable_at(k), par.stable_at(k)) << "stage " << k;
-    }
-    EXPECT_EQ(seq.stable_complex().complex(), par.stable_complex().complex());
-    for (VertexId v : seq.stable_complex().vertex_ids()) {
-        EXPECT_EQ(seq.stable_position(v), par.stable_position(v));
-        EXPECT_EQ(seq.stable_complex().color(v),
-                  par.stable_complex().color(v));
+        EXPECT_EQ(seq.stable_complex().complex(),
+                  par.stable_complex().complex())
+            << "stage " << k;
+        for (VertexId v : seq.stable_complex().vertex_ids()) {
+            EXPECT_EQ(seq.stable_position(v), par.stable_position(v));
+            EXPECT_EQ(seq.stable_complex().color(v),
+                      par.stable_complex().color(v));
+        }
     }
 }
 
 TEST(TerminatingSubdivision, ShardedPlainSubdivisionMatchesSequential) {
+    const auto never = [](const Simplex&) { return false; };
     const auto base = topo::ChromaticComplex::standard_simplex(2);
     const auto seq = topo::SubdividedComplex::identity(base)
-                         .chromatic_subdivision(1)
-                         .chromatic_subdivision(1);
+                         .chromatic_subdivision_with_termination(never, 1)
+                         .chromatic_subdivision_with_termination(never, 1);
     const auto par = topo::SubdividedComplex::identity(base)
-                         .chromatic_subdivision(3)
-                         .chromatic_subdivision(3);
+                         .chromatic_subdivision_with_termination(never, 3)
+                         .chromatic_subdivision_with_termination(never, 3);
     EXPECT_EQ(seq.complex().complex(), par.complex().complex());
     for (VertexId v : seq.complex().vertex_ids()) {
         EXPECT_EQ(seq.position(v), par.position(v));
