@@ -31,12 +31,10 @@
 // bug"), cold vs warm (reuse), and the portfolio with the exchange off
 // vs on (CI fails on a regression past the race-noise slack).
 //
-// Usage: bench_csp_ablation [extra_stages] [gbench args...]
+// Usage: bench_csp_ablation [extra_stages]
 // `extra_stages` (default 2) is the number of stabilization stages past
-// Chr^2; CI smoke-runs pass 1, so the default instance only runs when
-// invoked by hand.
-#include <benchmark/benchmark.h>
-
+// Chr^2; CI runs 1, so the default instance only runs when invoked by
+// hand.
 #include <chrono>
 #include <iostream>
 
@@ -265,53 +263,10 @@ void print_report() {
     std::cout << std::endl;
 }
 
-void BM_SolverNaive(benchmark::State& state) {
-    const Instance& inst = instance();
-    const auto problem = inst.problem(true, true);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            core::solve_chromatic_map(problem, SolverConfig::naive()));
-    }
-}
-BENCHMARK(BM_SolverNaive)->Unit(benchmark::kMillisecond);
-
-void BM_SolverFast(benchmark::State& state) {
-    const Instance& inst = instance();
-    const auto problem = inst.problem(true, true);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            core::solve_chromatic_map(problem, SolverConfig::fast()));
-    }
-}
-BENCHMARK(BM_SolverFast)->Unit(benchmark::kMillisecond);
-
-void BM_SolverFastUnguided(benchmark::State& state) {
-    const Instance& inst = instance();
-    const auto problem = inst.problem(true, false);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            core::solve_chromatic_map(problem, SolverConfig::fast(2000000)));
-    }
-}
-BENCHMARK(BM_SolverFastUnguided)->Iterations(3)->Unit(benchmark::kMillisecond);
-
-void BM_SolverFastNoFixing(benchmark::State& state) {
-    const Instance& inst = instance();
-    const auto problem = inst.problem(false, true);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            core::solve_chromatic_map(problem, SolverConfig::fast(2000000)));
-    }
-}
-BENCHMARK(BM_SolverFastNoFixing)->Iterations(3)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-    g_extra_stages = static_cast<std::size_t>(
-        gact::bench::consume_size_arg(argc, argv, 2));
+    g_extra_stages = gact::bench::parse_size_arg(argc, argv, 2);
     print_report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

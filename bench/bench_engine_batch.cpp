@@ -10,10 +10,8 @@
 // sequentially and then sharded, and prints the speedup; reports are
 // verified identical across the two runs.
 //
-// Usage: bench_engine_batch [num_scenarios] [gbench args...] — cap on how
-// many grid cells run (default 0 = all; CI smoke passes 1).
-#include <benchmark/benchmark.h>
-
+// Usage: bench_engine_batch [num_scenarios] — cap on how many grid cells
+// run (default 0 = all, which is what CI runs).
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -97,33 +95,10 @@ void print_report() {
               << std::endl;
 }
 
-void BM_BatchSequential(benchmark::State& state) {
-    const auto batch = scenarios();
-    const engine::Engine engine;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.solve_batch(batch, 1));
-    }
-}
-BENCHMARK(BM_BatchSequential)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_BatchSharded(benchmark::State& state) {
-    const auto batch = scenarios();
-    const engine::Engine engine;
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.solve_batch(batch, threads));
-    }
-}
-BENCHMARK(BM_BatchSharded)->Arg(2)->Arg(4)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-    g_num_scenarios = static_cast<std::size_t>(
-        gact::bench::consume_size_arg(argc, argv, 0));
+    g_num_scenarios = gact::bench::parse_size_arg(argc, argv, 0);
     print_report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -10,14 +10,13 @@
 //
 // Usage: bench_service_load [SECONDS] [CONNECTIONS] [SCENARIO]
 //   defaults: 10 seconds, 8 connections, chr2-2p-wf
-// Any --benchmark_* flag is ignored so the CI bench smoke loop (which
-// passes `1 --benchmark_filter=...` to every bench binary) gets a fast
-// 1-second run instead of an argument error.
+// SECONDS is a whole number in 1..86400; CONNECTIONS (one client thread
+// each) is in 1..256. A malformed or out-of-range value exits 2.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -26,6 +25,7 @@
 #include "service/client.h"
 #include "service/server.h"
 #include "util/json.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -48,13 +48,12 @@ double percentile(std::vector<double>& sorted, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    double seconds = 10.0;
+    std::uint64_t seconds = 10;
     unsigned connections = 8;
     std::string scenario = "chr2-2p-wf";
 
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--benchmark_", 12) == 0) continue;
         if (std::strncmp(argv[i], "--", 2) == 0) {
             std::fprintf(stderr,
                          "usage: %s [SECONDS] [CONNECTIONS] [SCENARIO]\n",
@@ -62,20 +61,33 @@ int main(int argc, char** argv) {
             return 2;
         }
         switch (positional++) {
-            case 0: seconds = std::atof(argv[i]); break;
-            case 1:
-                connections =
-                    static_cast<unsigned>(std::strtoul(argv[i], nullptr, 10));
+            case 0: {
+                const auto n = gact::util::parse_unsigned(
+                    argv[i], 1, gact::util::kMaxSeconds);
+                if (!n.has_value()) {
+                    std::fprintf(stderr, "bad SECONDS '%s'\n", argv[i]);
+                    return 2;
+                }
+                seconds = *n;
                 break;
+            }
+            case 1: {
+                // One client thread per connection: bounded like every
+                // other thread count on a command line.
+                const auto n = gact::util::parse_unsigned(
+                    argv[i], 1, gact::util::kMaxThreads);
+                if (!n.has_value()) {
+                    std::fprintf(stderr, "bad CONNECTIONS '%s'\n", argv[i]);
+                    return 2;
+                }
+                connections = static_cast<unsigned>(*n);
+                break;
+            }
             case 2: scenario = argv[i]; break;
             default:
                 std::fprintf(stderr, "too many arguments\n");
                 return 2;
         }
-    }
-    if (seconds <= 0.0 || connections == 0) {
-        std::fprintf(stderr, "bad duration/connection count\n");
-        return 2;
     }
 
     gact::service::ServiceConfig config;
@@ -160,7 +172,7 @@ int main(int argc, char** argv) {
     }
 
     const auto bench_start = Clock::now();
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+    std::this_thread::sleep_for(std::chrono::seconds(seconds));
     stop.store(true, std::memory_order_relaxed);
     for (std::thread& t : threads) t.join();
     const double elapsed =

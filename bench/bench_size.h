@@ -1,41 +1,34 @@
-// Shared helper for the benches' optional size argument.
+// The optional size argument of bench_csp_ablation and
+// bench_engine_batch: `bench_foo [size]`.
 //
-// Every bench accepts an optional leading positive integer before the
-// google-benchmark flags: `bench_foo [size] [--benchmark_...]`. The
-// meaning (processes / stages / prefix depth / family size) is documented
-// per bench; the default is the bench's historical hard-coded value. CI
-// smoke-runs pass tiny sizes so every report stays fast.
+// The meaning of the size (stabilization stages, grid cells) is
+// documented per bench; the default is the bench's historical value.
 #pragma once
 
-#include <cctype>
-#include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/parse.h"
+
 namespace gact::bench {
 
-/// If argv[1] is a bare non-negative integer, consume it and return its
-/// value; otherwise return `default_value`. A size-like argument that
-/// fails to parse cleanly (trailing junk, overflow) exits with a
-/// message rather than silently running the wrong size. Shifts the
-/// remaining arguments down so google-benchmark flag parsing is
-/// unaffected.
-inline long consume_size_arg(int& argc, char** argv, long default_value) {
-    if (argc > 1 && std::isdigit(static_cast<unsigned char>(argv[1][0]))) {
-        char* end = nullptr;
-        errno = 0;
-        const long value = std::strtol(argv[1], &end, 10);
-        if (errno == ERANGE || *end != '\0' || value < 0) {
-            std::fprintf(stderr, "invalid size argument '%s'\n", argv[1]);
-            std::exit(2);
-        }
-        // Shift through index argc so the argv[argc] == nullptr
-        // terminator moves down with the arguments.
-        for (int i = 1; i < argc; ++i) argv[i] = argv[i + 1];
-        --argc;
-        return value;
+/// Return argv[1] as a non-negative integer, or `default_value` when it
+/// is absent. A malformed size (sign, trailing junk, overflow) or a
+/// second argument exits 2 rather than silently running the wrong size.
+inline std::size_t parse_size_arg(int argc, char** argv,
+                                  std::size_t default_value) {
+    if (argc > 2) {
+        std::fprintf(stderr, "usage: %s [size]\n", argv[0]);
+        std::exit(2);
     }
-    return default_value;
+    if (argc < 2) return default_value;
+    const auto value = util::parse_unsigned(argv[1], 0, SIZE_MAX);
+    if (!value.has_value()) {
+        std::fprintf(stderr, "invalid size argument '%s'\n", argv[1]);
+        std::exit(2);
+    }
+    return *value;
 }
 
 }  // namespace gact::bench

@@ -19,7 +19,8 @@
 // gact_fuzz and gact_client):
 //   0  the batch completed — including unsolvable / budget-exhausted
 //      verdicts, which are answers, not failures
-//   2  usage error (unknown scenario, contradictory flags)
+//   2  usage error (unknown scenario, contradictory flags, malformed or
+//      out-of-range --threads)
 //   3  internal error (exception during solve or reporting)
 //
 // Every solvability question the other examples answer by hand is one
@@ -50,6 +51,7 @@
 #include "engine/engine.h"
 #include "engine/report_json.h"
 #include "engine/scenario_registry.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -116,8 +118,14 @@ int main(int argc, char** argv) {
             continue;
         }
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (threads == 0) threads = 1;
+            const char* text = argv[++i];
+            const auto n = util::parse_unsigned(text, 1, util::kMaxThreads);
+            if (!n.has_value()) {
+                std::cerr << "usage error: bad --threads value '" << text
+                          << "'\n";
+                return 2;
+            }
+            threads = static_cast<unsigned>(*n);
             continue;
         }
         std::string why;

@@ -11,6 +11,7 @@
 #include "tasks/standard_tasks.h"
 #include "topology/homology.h"
 #include "topology/subdivision.h"
+#include "util/parse.h"
 #include "lt_witness.h"
 
 namespace gact {
@@ -185,6 +186,44 @@ TEST(EdgeCases, PipelineNeedsAStabilizationStage) {
     EXPECT_TRUE(witness.tsub.stable_complex().is_empty());
     EXPECT_FALSE(witness.delta.has_value());
     EXPECT_THROW(build_lt_witness(2, 1, 0), precondition_error);
+}
+
+// ---------- command-line numbers ----------
+
+TEST(ParseUnsigned, AcceptsExactlyTheDigitsInRange) {
+    EXPECT_EQ(util::parse_unsigned("0"), 0u);
+    EXPECT_EQ(util::parse_unsigned("10"), 10u);
+    EXPECT_EQ(util::parse_unsigned("007"), 7u);
+    EXPECT_EQ(util::parse_unsigned("18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_EQ(util::parse_unsigned("5", 1, 5), 5u);
+    EXPECT_EQ(util::parse_unsigned("1", 1, 5), 1u);
+}
+
+TEST(ParseUnsigned, RejectsWhatAtoiAndStrtoulWouldRunSilently) {
+    // atoi("abc") == 0 and strtoull("10x") == 10: both ran a campaign
+    // the caller never asked for. strtoul("-1") wraps to the maximum.
+    for (const char* bad :
+         {"", "abc", "10x", "x10", " 10", "10 ", "+10", "-1", "-0", "1.5",
+          "1e3", "0x10", "18446744073709551616"}) {
+        EXPECT_FALSE(util::parse_unsigned(bad).has_value()) << bad;
+    }
+    EXPECT_FALSE(util::parse_unsigned("0", 1, 5).has_value());
+    EXPECT_FALSE(util::parse_unsigned("6", 1, 5).has_value());
+}
+
+TEST(ParseUnsigned, ThreadAndConnectionCountsAreBounded) {
+    // --threads / CONNECTIONS: 1..kMaxThreads. "-1" through atoi used to
+    // become 4294967295 threads; it and its unsigned spelling are both
+    // refused now.
+    EXPECT_EQ(util::parse_unsigned("1", 1, util::kMaxThreads), 1u);
+    EXPECT_EQ(util::parse_unsigned("256", 1, util::kMaxThreads), 256u);
+    EXPECT_EQ(util::kMaxThreads, 256u);
+    for (const char* bad : {"0", "257", "4294967295", "-1"}) {
+        EXPECT_FALSE(
+            util::parse_unsigned(bad, 1, util::kMaxThreads).has_value())
+            << bad;
+    }
 }
 
 TEST(EdgeCases, FindLandingHorizonZeroFindsNothing) {

@@ -5,6 +5,8 @@
 //  * t = 0: the 0-resilient task — only runs where everybody is fast land.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "protocol/gact_protocol.h"
 #include "protocol/verifier.h"
 #include "lt_witness.h"
@@ -96,14 +98,19 @@ TEST(LtSpectrum, StableFacetCountsGrowWithStages) {
               two.tsub.stable_facets().size());
     // The earlier rings agree.
     std::size_t ring0_two = 0;
-    std::size_t ring0_three = 0;
+    std::map<std::size_t, std::size_t> rings_three;
     for (const auto& f : two.tsub.stable_facets()) {
         if (ring_of_stable_facet(two.tsub, f) == 0) ++ring0_two;
     }
     for (const auto& f : three.tsub.stable_facets()) {
-        if (ring_of_stable_facet(three.tsub, f) == 0) ++ring0_three;
+        ++rings_three[ring_of_stable_facet(three.tsub, f)];
     }
-    EXPECT_EQ(ring0_two, ring0_three);
+    EXPECT_EQ(ring0_two, rings_three[0]);
+    // The Section 9.2 ring figure: each stabilization stage adds one
+    // ring of the collar around R_0 = L_1.
+    const std::map<std::size_t, std::size_t> figure = {
+        {0, 142}, {1, 216}, {2, 648}};
+    EXPECT_EQ(rings_three, figure);
 }
 
 }  // namespace

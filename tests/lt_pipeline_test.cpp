@@ -120,6 +120,7 @@ TEST(LtPipeline, RadialProjectionPreservesBoundaryFaces) {
 TEST(LtPipeline, RadialProjectionOnStableVertices) {
     // f is defined on all of |K(T)| and is the identity exactly on R_0.
     const LtWitness& p = pipeline21();
+    std::size_t fixed = 0;
     for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
         const topo::BaryPoint& x = p.tsub.stable_position(v);
         const topo::BaryPoint fx = radial_projection_l1(p.task, x);
@@ -127,7 +128,13 @@ TEST(LtPipeline, RadialProjectionOnStableVertices) {
         if (point_in_l(p.task, x)) {
             EXPECT_EQ(fx, x);
         }
+        if (fx == x) ++fixed;
     }
+    // The Section 9.2 figure: 96 of the 237 stable vertices are fixed,
+    // the other 141 land on the boundary of |L_1|, which has 48 edges.
+    EXPECT_EQ(p.tsub.stable_complex().vertex_ids().size(), 237u);
+    EXPECT_EQ(fixed, 96u);
+    EXPECT_EQ(l_boundary_edges(p.task).size(), 48u);
 }
 
 TEST(LtPipeline, AdmissibleForResilientRuns) {
@@ -142,6 +149,17 @@ TEST(LtPipeline, AdmissibleForResilientRuns) {
         << (report.failures.empty() ? "" : report.failures[0].to_string());
     EXPECT_EQ(report.runs_checked, runs.size());
     EXPECT_GE(report.max_landing_round, 1u);
+}
+
+TEST(LtPipeline, NotAdmissibleForWaitFreeRuns) {
+    // The contrast that makes L_1 genuinely t-resilient: the same T is
+    // not admissible for the wait-free family; 69 of its runs at prefix
+    // depth 1 never land.
+    const LtWitness& p = pipeline21();
+    const AdmissibilityReport report =
+        check_admissibility(p.tsub, iis::enumerate_stabilized_runs(3, 1), 8);
+    EXPECT_FALSE(report.admissible);
+    EXPECT_EQ(report.failures.size(), 69u);
 }
 
 TEST(LtPipeline, SoloRunNeverLands) {

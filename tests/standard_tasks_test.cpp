@@ -91,7 +91,10 @@ TEST(TResilience, L1ForThreeProcesses) {
             EXPECT_GE(lt.subdivision.carrier(v).dimension(), 1);
         }
     }
-    EXPECT_FALSE(lt.l_complex.is_empty());
+    // The Section 9.2 figure's central region: 142 facets, and Delta of
+    // the full simplex is all of it.
+    EXPECT_EQ(lt.l_complex.facets().size(), 142u);
+    EXPECT_EQ(lt.task.delta.at(Simplex{0, 1, 2}).facets().size(), 142u);
 }
 
 TEST(TResilience, LnIsEverything) {
@@ -110,7 +113,9 @@ TEST(TResilience, L0IsInteriorOnly) {
             EXPECT_EQ(lt.subdivision.carrier(v), Simplex({0, 1, 2}));
         }
     }
-    EXPECT_FALSE(lt.l_complex.is_empty());
+    EXPECT_EQ(lt.l_complex.facets().size(), 97u);
+    // Link-connected too, though the sweep below checks only t >= 1.
+    EXPECT_TRUE(topo::is_link_connected(lt.l_complex));
 }
 
 TEST(TResilience, L1IsLinkConnected) {

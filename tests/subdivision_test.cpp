@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "topology/combinatorics.h"
 
 namespace gact::topo {
@@ -122,28 +124,31 @@ TEST(Subdivision, RetractionToParentIsChromatic) {
 }
 
 TEST(Subdivision, TerminatedEdgeExample) {
-    // The Section 6.1 figure: subdivide the triangle with edge {0,1} (and
-    // its vertices) terminated. The terminated edge must survive whole.
+    // The Section 6.1 figure: subdivide the triangle with one edge (and
+    // its vertices) terminated. The terminated edge must survive whole,
+    // whichever of the three edges it is.
     const ChromaticComplex s = ChromaticComplex::standard_simplex(2);
     const SubdividedComplex id = SubdividedComplex::identity(s);
-    const auto terminated = [](const Simplex& t) {
-        return t.is_face_of(Simplex{0, 1});
-    };
-    const SubdividedComplex part =
-        id.chromatic_subdivision_with_termination(terminated);
-    // The whole edge {0,1} is still a simplex (via original vertex ids).
-    const VertexId v0 = part.vertex_for(0, Simplex{0});
-    const VertexId v1 = part.vertex_for(1, Simplex{1});
-    EXPECT_TRUE(part.complex().contains(Simplex{v0, v1}));
-    // No subdivision vertex in the interior of edge {0,1}.
-    for (VertexId v : part.complex().vertex_ids()) {
-        if (part.carrier(v) == Simplex({0, 1})) {
-            FAIL() << "terminated edge has interior vertex";
+    for (const auto& [a, b] : {std::pair<VertexId, VertexId>{0, 1},
+                               {0, 2}, {1, 2}}) {
+        const Simplex edge{a, b};
+        const SubdividedComplex part =
+            id.chromatic_subdivision_with_termination(
+                [&edge](const Simplex& t) { return t.is_face_of(edge); });
+        // The whole edge is still a simplex (via original vertex ids).
+        const VertexId va = part.vertex_for(a, Simplex{a});
+        const VertexId vb = part.vertex_for(b, Simplex{b});
+        EXPECT_TRUE(part.complex().contains(Simplex{va, vb}));
+        // No subdivision vertex in the interior of the edge.
+        for (VertexId v : part.complex().vertex_ids()) {
+            EXPECT_NE(part.carrier(v), edge)
+                << "terminated edge " << edge.to_string()
+                << " has an interior vertex";
         }
+        // Counted by hand from the collapse construction: 11 facets.
+        EXPECT_EQ(part.complex().facets().size(), 11u);
+        part.verify_subdivision_exactness();
     }
-    // Counted by hand from the collapse construction: 11 facets.
-    EXPECT_EQ(part.complex().facets().size(), 11u);
-    part.verify_subdivision_exactness();
 }
 
 TEST(Subdivision, FullyTerminatedComplexUnchanged) {
@@ -213,7 +218,8 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ChrSweep,
     ::testing::Values(std::make_tuple(1, 1), std::make_tuple(1, 2),
                       std::make_tuple(1, 3), std::make_tuple(2, 1),
-                      std::make_tuple(2, 2), std::make_tuple(3, 1)));
+                      std::make_tuple(2, 2), std::make_tuple(2, 3),
+                      std::make_tuple(3, 1)));
 
 }  // namespace
 }  // namespace gact::topo

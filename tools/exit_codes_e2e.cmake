@@ -34,7 +34,10 @@ endfunction()
 # Unsolvable is an answer: the batch completed, exit 0.
 expect_exit(0 "engine_cli unsolvable verdict"
   "${CLI}" --threads 1 --no-pool consensus-2-wf)
-# Usage errors: unknown scenario name, contradictory pool flags.
+# Usage errors: unknown scenario name, contradictory pool flags, a
+# malformed thread count.
+expect_exit(2 "engine_cli bad --threads"
+  "${CLI}" --threads 2x consensus-2-wf)
 expect_exit(2 "engine_cli unknown scenario"
   "${CLI}" no-such-scenario)
 expect_exit(2 "engine_cli contradictory flags"
@@ -50,6 +53,15 @@ expect_exit(2 "gact_fuzz unknown flag"
   "${FUZZ}" --no-such-flag)
 expect_exit(2 "gact_fuzz unknown scenario"
   "${FUZZ}" --scenario no-such-scenario)
+# Numeric flags are range-checked before any work starts: a non-number,
+# a trailing-junk number and a negative thread count are usage errors,
+# not a 0-schedule campaign, a 10-schedule one, or 4294967295 threads.
+expect_exit(2 "gact_fuzz non-numeric --iters"
+  "${FUZZ}" --scenario is-1-wf --iters abc)
+expect_exit(2 "gact_fuzz trailing junk in --iters"
+  "${FUZZ}" --scenario is-1-wf --iters 10x)
+expect_exit(2 "gact_fuzz negative --threads"
+  "${FUZZ}" --scenario is-1-wf --threads -1 --iters 5)
 
 # --- gact_sweep -------------------------------------------------------------
 # A completed sweep exits 0 whatever the verdicts are.
@@ -66,12 +78,16 @@ expect_exit(2 "gact_sweep unknown flag"
   "${SWEEP}" --no-such-flag)
 expect_exit(2 "gact_sweep missing selection"
   "${SWEEP}" --threads 1)
+expect_exit(2 "gact_sweep non-numeric --threads"
+  "${SWEEP}" --family wf-is --param n=1..2 --threads x)
 
 # --- gact_client ------------------------------------------------------------
 expect_exit(2 "gact_client unknown command"
   "${CLIENT}" frobnicate)
 expect_exit(2 "gact_client solve without scenario"
   "${CLIENT}" solve)
+expect_exit(2 "gact_client non-numeric --port"
+  "${CLIENT}" --port 74x1 stats)
 # Port 1 is privileged and unbound in the test environment: the connect
 # fails, which is a transport error (3), not a solver-level failure (1).
 expect_exit(3 "gact_client no server"

@@ -12,16 +12,19 @@
 //   0  the server replied ok
 //   1  the server replied, but with ok: false (a solver-level failure —
 //      unknown scenario, queue-full, timeout)
-//   2  usage error
+//   2  usage error (including a malformed or out-of-range --port or
+//      --timeout-ms)
 //   3  transport error (connect or request failed: no server, broken
 //      connection) — the reply never arrived, so 1 would misreport a
 //      solver-level answer
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "service/client.h"
 #include "util/json.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -38,10 +41,10 @@ void usage(const char* argv0) {
 
 int main(int argc, char** argv) {
     std::string host = "127.0.0.1";
-    unsigned long port = 7461;
+    std::uint16_t port = 7461;
     std::string command;
     std::string scenario;
-    unsigned long timeout_ms = 0;
+    std::uint64_t timeout_ms = 0;
     bool has_timeout = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -59,9 +62,19 @@ int main(int argc, char** argv) {
         } else if (arg == "--host") {
             host = value();
         } else if (arg == "--port") {
-            port = std::strtoul(value(), nullptr, 10);
+            const auto n = gact::util::parse_unsigned(value(), 1, 65535);
+            if (!n.has_value()) {
+                std::fprintf(stderr, "bad --port\n");
+                return 2;
+            }
+            port = static_cast<std::uint16_t>(*n);
         } else if (arg == "--timeout-ms") {
-            timeout_ms = std::strtoul(value(), nullptr, 10);
+            const auto n = gact::util::parse_unsigned(value());
+            if (!n.has_value()) {
+                std::fprintf(stderr, "bad --timeout-ms\n");
+                return 2;
+            }
+            timeout_ms = *n;
             has_timeout = true;
         } else if (command.empty()) {
             command = arg;
@@ -81,10 +94,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "solve needs a scenario name\n");
         return 2;
     }
-    if (port == 0 || port > 65535) {
-        std::fprintf(stderr, "bad --port\n");
-        return 2;
-    }
 
     gact::util::Json request = gact::util::Json::object();
     request.set("type", gact::util::Json(command));
@@ -92,14 +101,13 @@ int main(int argc, char** argv) {
         request.set("scenario", gact::util::Json(scenario));
         if (has_timeout) {
             request.set("timeout_ms",
-                        gact::util::Json(static_cast<std::uint64_t>(
-                            timeout_ms)));
+                        gact::util::Json(timeout_ms));
         }
     }
 
     gact::service::ServiceClient client;
     std::string err =
-        client.connect(host, static_cast<std::uint16_t>(port));
+        client.connect(host, port);
     if (!err.empty()) {
         std::fprintf(stderr, "gact_client: %s\n", err.c_str());
         return 3;

@@ -11,6 +11,7 @@
 //                                          # thread-count independent)
 //   gact_fuzz --seconds 10                 # time-budgeted soak: repeat
 //                                          # batches until the budget ends
+//                                          # (whole seconds, at most a day)
 //
 // Per scenario one line is printed:
 //   <name>: <N> schedules, <V> violations, <R> schedules/sec, digest <hex>
@@ -20,10 +21,13 @@
 // Exit codes (the tool contract, pinned by tools/exit_codes_e2e.cmake):
 //   0  every executed schedule clean (skipped scenarios do not fail)
 //   1  at least one Definition 4.1 violation was found
-//   2  usage error (unknown flag or scenario)
+//   2  usage error (unknown flag or scenario, malformed or out-of-range
+//      numeric value: --iters and --threads must be >= 1)
 //   3  internal error (exception during solve or execution)
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -32,6 +36,7 @@
 #include "engine/engine.h"
 #include "engine/scenario_registry.h"
 #include "runtime/fuzz.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -40,7 +45,8 @@ using namespace gact;
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--scenario NAME]... [--seed N] [--iters N] "
-                 "[--threads N] [--seconds S] [--list]\n";
+                 "[--threads N] [--seconds S] [--slack N] [--max-prefix N] "
+                 "[--list]\n";
     return 2;
 }
 
@@ -61,6 +67,20 @@ int main(int argc, char** argv) {
     config.threads = 2;
     double seconds = 0.0;
 
+    // Numeric flags are range-checked: a malformed or out-of-range value
+    // is a usage error, never a silent 0, a truncated prefix or a wrapped
+    // negative.
+    const auto number = [&](int& i, std::uint64_t min, std::uint64_t max) {
+        const char* flag = argv[i];
+        const char* text = argv[++i];
+        const auto value = util::parse_unsigned(text, min, max);
+        if (!value.has_value()) {
+            std::cerr << "bad " << flag << " value '" << text << "'\n";
+            std::exit(usage(argv[0]));
+        }
+        return *value;
+    };
+
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--list") == 0) {
             for (const auto& spec :
@@ -75,31 +95,29 @@ int main(int argc, char** argv) {
             continue;
         }
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            config.seed = std::strtoull(argv[++i], nullptr, 10);
+            config.seed = number(i, 0, UINT64_MAX);
             continue;
         }
         if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-            config.iterations =
-                static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+            config.iterations = number(i, 1, SIZE_MAX);
             continue;
         }
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            config.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (config.threads == 0) config.threads = 1;
+            config.threads =
+                static_cast<unsigned>(number(i, 1, util::kMaxThreads));
             continue;
         }
         if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-            seconds = std::atof(argv[++i]);
+            seconds = static_cast<double>(number(i, 0, util::kMaxSeconds));
             continue;
         }
         if (std::strcmp(argv[i], "--slack") == 0 && i + 1 < argc) {
-            config.horizon_slack =
-                static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+            config.horizon_slack = number(i, 0, SIZE_MAX);
             continue;
         }
         if (std::strcmp(argv[i], "--max-prefix") == 0 && i + 1 < argc) {
             config.max_prefix_rounds =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
+                static_cast<std::uint32_t>(number(i, 0, UINT32_MAX));
             continue;
         }
         std::cerr << "unknown argument '" << argv[i] << "'\n";

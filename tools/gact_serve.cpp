@@ -10,11 +10,14 @@
 //              [--max-connections N] [--pool-file PATH]
 //              [--snapshot-every SECONDS] [--timeout-ms N]
 //              [--bind ADDR]
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "service/server.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -24,7 +27,7 @@ void usage(const char* argv0) {
         "usage: %s [options]\n"
         "  --port N             TCP port (default 7461; 0 = ephemeral)\n"
         "  --bind ADDR          bind address (default 127.0.0.1)\n"
-        "  --threads N          solve worker threads (default 2)\n"
+        "  --threads N          solve worker threads, 1..256 (default 2)\n"
         "  --queue-depth N      admission queue bound (default 16)\n"
         "  --max-connections N  live-connection bound; accepts beyond\n"
         "                       it are refused (default 256)\n"
@@ -34,12 +37,6 @@ void usage(const char* argv0) {
         "  --timeout-ms N       default queue-wait deadline per request\n"
         "                       (default 0: none)\n",
         argv0);
-}
-
-bool parse_unsigned(const char* text, unsigned long& out) {
-    char* end = nullptr;
-    out = std::strtoul(text, &end, 10);
-    return end != text && *end == '\0';
 }
 
 }  // namespace
@@ -57,50 +54,35 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
-        unsigned long n = 0;
+        const auto number = [&](std::uint64_t min, std::uint64_t max) {
+            const auto n = gact::util::parse_unsigned(value(), min, max);
+            if (!n.has_value()) {
+                std::fprintf(stderr, "bad %s\n", arg.c_str());
+                std::exit(2);
+            }
+            return *n;
+        };
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
         } else if (arg == "--port") {
-            if (!parse_unsigned(value(), n) || n > 65535) {
-                std::fprintf(stderr, "bad --port\n");
-                return 2;
-            }
-            config.port = static_cast<std::uint16_t>(n);
+            config.port = static_cast<std::uint16_t>(number(0, 65535));
         } else if (arg == "--bind") {
             config.bind_address = value();
         } else if (arg == "--threads") {
-            if (!parse_unsigned(value(), n) || n == 0) {
-                std::fprintf(stderr, "bad --threads\n");
-                return 2;
-            }
-            config.workers = static_cast<unsigned>(n);
+            config.workers =
+                static_cast<unsigned>(number(1, gact::util::kMaxThreads));
         } else if (arg == "--queue-depth") {
-            if (!parse_unsigned(value(), n) || n == 0) {
-                std::fprintf(stderr, "bad --queue-depth\n");
-                return 2;
-            }
-            config.queue_depth = n;
+            config.queue_depth = number(1, SIZE_MAX);
         } else if (arg == "--max-connections") {
-            if (!parse_unsigned(value(), n) || n == 0) {
-                std::fprintf(stderr, "bad --max-connections\n");
-                return 2;
-            }
-            config.max_connections = n;
+            config.max_connections = number(1, SIZE_MAX);
         } else if (arg == "--pool-file") {
             config.pool_file = value();
         } else if (arg == "--snapshot-every") {
-            if (!parse_unsigned(value(), n)) {
-                std::fprintf(stderr, "bad --snapshot-every\n");
-                return 2;
-            }
-            config.snapshot_every_seconds = static_cast<unsigned>(n);
+            config.snapshot_every_seconds =
+                static_cast<unsigned>(number(0, UINT_MAX));
         } else if (arg == "--timeout-ms") {
-            if (!parse_unsigned(value(), n)) {
-                std::fprintf(stderr, "bad --timeout-ms\n");
-                return 2;
-            }
-            config.default_timeout_ms = n;
+            config.default_timeout_ms = number(0, SIZE_MAX);
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             usage(argv[0]);

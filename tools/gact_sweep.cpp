@@ -34,7 +34,8 @@
 // other CLIs):
 //   0  the sweep completed — every verdict, including unsolvable and
 //      unsupported, is an answer, not a failure
-//   2  usage error (unknown family, malformed axis, unknown flag)
+//   2  usage error (unknown family, malformed axis, unknown flag,
+//      malformed or out-of-range --threads)
 //   3  internal error (exception during solve or reporting)
 #include <cstdio>
 #include <cstring>
@@ -46,6 +47,7 @@
 #include "engine/report_json.h"
 #include "engine/scenario_registry.h"
 #include "exec/scheduler.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -188,8 +190,13 @@ int main(int argc, char** argv) {
             continue;
         }
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (threads == 0) threads = 1;
+            const char* text = argv[++i];
+            const auto n = util::parse_unsigned(text, 1, util::kMaxThreads);
+            if (!n.has_value()) {
+                return usage_error(std::string("bad --threads value '") +
+                                   text + "'");
+            }
+            threads = static_cast<unsigned>(*n);
             continue;
         }
         return usage_error(std::string("unknown argument '") + argv[i] +
