@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <map>
 #include <mutex>
+#include <queue>
 #include <random>
 #include <thread>
 #include <unordered_set>
@@ -49,36 +51,17 @@ namespace {
 // Shared problem preprocessing: assignment order and initial domains.
 // ---------------------------------------------------------------------------
 
-/// The initial candidate list for one domain vertex: the fixed value, or
-/// the caller's candidate order, or all color-matching codomain vertices;
-/// always filtered by the vertex's own constraint complex.
-std::vector<VertexId> initial_domain(const ChromaticMapProblem& problem,
-                                     VertexId v) {
-    std::vector<VertexId> candidates;
-    const auto fit = problem.fixed.find(v);
-    if (fit != problem.fixed.end()) {
-        candidates = {fit->second};
-    } else if (problem.candidate_order) {
-        candidates = problem.candidate_order(v);
-    } else {
-        const topo::Color c = problem.domain->color(v);
-        for (VertexId w : problem.codomain->vertex_ids()) {
-            if (problem.codomain->color(w) == c) candidates.push_back(w);
-        }
-    }
-    const SimplicialComplex& allowed = problem.allowed(Simplex{v});
-    std::vector<VertexId> filtered;
-    for (VertexId w : candidates) {
-        // Candidate values must be vertices of the codomain: the naive
-        // engine rejects strays through the 0-simplex constraints, but
-        // the FC engine's adjacency index only carries dimension >= 1,
-        // so filter here for both.
-        if (problem.codomain->contains_vertex(w) &&
-            allowed.contains(Simplex{w})) {
-            filtered.push_back(w);
-        }
-    }
-    return filtered;
+/// Dense vertex membership of a complex: flags[w] != 0 iff w is one of
+/// its vertices.
+std::vector<char> vertex_flags(const SimplicialComplex& complex) {
+    const std::vector<VertexId> ids = complex.vertex_ids();
+    std::vector<char> flags(ids.empty() ? 0 : std::size_t{ids.back()} + 1, 0);
+    for (VertexId w : ids) flags[w] = 1;
+    return flags;
+}
+
+bool has_vertex(const std::vector<char>& flags, VertexId w) {
+    return w < flags.size() && flags[w] != 0;
 }
 
 /// Initial candidate lists for every domain vertex, computed once per
@@ -87,10 +70,57 @@ std::vector<VertexId> initial_domain(const ChromaticMapProblem& problem,
 /// the same base order.
 using DomainMap = std::unordered_map<VertexId, std::vector<VertexId>>;
 
-DomainMap all_initial_domains(const ChromaticMapProblem& problem) {
+/// Each vertex's candidates — the fixed value, or the caller's candidate
+/// order, or all color-matching codomain vertices in id order — filtered
+/// by the vertex's own constraint complex. The filter reads dense vertex
+/// flags: one table for the codomain and one per distinct allowed()
+/// complex, keyed by the returned reference (stable for the whole solve
+/// by the problem contract). Candidate values must be vertices of the
+/// codomain: the naive engine would reject strays through the 0-simplex
+/// constraints, but the FC engine's adjacency index only carries
+/// dimension >= 1, so filter here for both. Polls `cancel` once per
+/// vertex; nullopt when it fired.
+std::optional<DomainMap> all_initial_domains(
+    const ChromaticMapProblem& problem, const std::vector<VertexId>& vertices,
+    const exec::CancelToken* cancel) {
+    const std::vector<char> in_codomain =
+        vertex_flags(problem.codomain->complex());
+    std::unordered_map<const SimplicialComplex*, std::vector<char>> in_allowed;
+    // Color-matching codomain vertices in id order, for vertices with
+    // neither a fixed value nor a candidate order; built on first use.
+    std::optional<std::map<topo::Color, std::vector<VertexId>>> by_color;
     DomainMap domains;
-    for (VertexId v : problem.domain->vertex_ids()) {
-        domains.emplace(v, initial_domain(problem, v));
+    domains.reserve(vertices.size());
+    for (VertexId v : vertices) {
+        if (cancel != nullptr && cancel->cancelled()) return std::nullopt;
+        std::vector<VertexId> candidates;
+        const auto fit = problem.fixed.find(v);
+        if (fit != problem.fixed.end()) {
+            candidates = {fit->second};
+        } else if (problem.candidate_order) {
+            candidates = problem.candidate_order(v);
+        } else {
+            if (!by_color.has_value()) {
+                by_color.emplace();
+                for (VertexId w : problem.codomain->vertex_ids()) {
+                    (*by_color)[problem.codomain->color(w)].push_back(w);
+                }
+            }
+            const auto it = by_color->find(problem.domain->color(v));
+            if (it != by_color->end()) candidates = it->second;
+        }
+        const SimplicialComplex& allowed = problem.allowed(Simplex{v});
+        auto ait = in_allowed.find(&allowed);
+        if (ait == in_allowed.end()) {
+            ait = in_allowed.emplace(&allowed, vertex_flags(allowed)).first;
+        }
+        std::vector<VertexId> filtered;
+        for (VertexId w : candidates) {
+            if (has_vertex(in_codomain, w) && has_vertex(ait->second, w)) {
+                filtered.push_back(w);
+            }
+        }
+        domains.emplace(v, std::move(filtered));
     }
     return domains;
 }
@@ -121,10 +151,9 @@ struct Decomposition {
 };
 
 Decomposition decompose(const ChromaticMapProblem& problem,
-                        const topo::AdjacencyIndex& index) {
+                        const topo::AdjacencyIndex& index,
+                        const std::vector<VertexId>& vertices) {
     Decomposition out;
-    const std::vector<VertexId> vertices = problem.domain->vertex_ids();
-
     for (const auto& [v, w] : problem.fixed) {
         (void)w;
         require(problem.domain->contains_vertex(v),
@@ -133,17 +162,25 @@ Decomposition decompose(const ChromaticMapProblem& problem,
     }
     std::sort(out.fixed_order.begin(), out.fixed_order.end());
 
-    std::unordered_map<VertexId, std::size_t> component;
+    // Per-vertex state, dense over the domain's vertex ids (the same
+    // bound FcSearcher::var_of_vertex relies on).
+    const std::size_t size =
+        vertices.empty() ? 0 : std::size_t{vertices.back()} + 1;
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    std::vector<char> is_fixed(size, 0);
+    for (VertexId v : out.fixed_order) is_fixed[v] = 1;
+
+    std::vector<std::size_t> component(size, kNone);
     std::size_t num_components = 0;
     for (VertexId v : vertices) {
-        if (problem.fixed.count(v) != 0 || component.count(v) != 0) continue;
+        if (is_fixed[v] != 0 || component[v] != kNone) continue;
         std::vector<VertexId> stack{v};
         component[v] = num_components;
         while (!stack.empty()) {
             const VertexId u = stack.back();
             stack.pop_back();
             for (VertexId w : index.neighbors(u)) {
-                if (problem.fixed.count(w) == 0 && component.count(w) == 0) {
+                if (is_fixed[w] == 0 && component[w] == kNone) {
                     component[w] = num_components;
                     stack.push_back(w);
                 }
@@ -151,39 +188,45 @@ Decomposition decompose(const ChromaticMapProblem& problem,
         }
         ++num_components;
     }
+    // Members of every component in one pass, each in id order.
+    std::vector<std::vector<VertexId>> members(num_components);
+    for (VertexId v : vertices) {
+        if (component[v] != kNone) members[component[v]].push_back(v);
+    }
 
+    // Maximum cardinality: repeatedly the unplaced member with the most
+    // placed neighbors, ties to the smallest id. A lazy max-heap on
+    // (score, -id) yields exactly that total order: scores only grow,
+    // every increment pushes a fresh entry, and stale entries (score
+    // below the vertex's current one, or already placed) are skipped.
     out.component_orders.resize(num_components);
-    std::unordered_map<VertexId, std::size_t> ordered_neighbors;
-    std::unordered_set<VertexId> placed;
+    std::vector<std::size_t> score(size, 0);
+    std::vector<char> placed(size, 0);
     const auto place = [&](VertexId v) {
-        placed.insert(v);
-        for (VertexId u : index.neighbors(v)) ++ordered_neighbors[u];
+        placed[v] = 1;
+        for (VertexId u : index.neighbors(v)) ++score[u];
     };
     for (VertexId v : out.fixed_order) place(v);
+    using Entry = std::pair<std::size_t, std::int64_t>;  // (score, -id)
     for (std::size_t c = 0; c < num_components; ++c) {
-        std::vector<VertexId> members;
-        for (VertexId v : vertices) {
-            const auto it = component.find(v);
-            if (it != component.end() && it->second == c) {
-                members.push_back(v);
-            }
+        std::priority_queue<Entry> heap;
+        for (VertexId v : members[c]) {
+            heap.emplace(score[v], -static_cast<std::int64_t>(v));
         }
-        for (std::size_t step = 0; step < members.size(); ++step) {
-            VertexId best = 0;
-            std::size_t best_score = 0;
-            bool found = false;
-            for (VertexId v : members) {
-                if (placed.count(v) != 0) continue;
-                const std::size_t score = ordered_neighbors[v];
-                if (!found || score > best_score ||
-                    (score == best_score && v < best)) {
-                    best = v;
-                    best_score = score;
-                    found = true;
+        std::vector<VertexId>& order = out.component_orders[c];
+        order.reserve(members[c].size());
+        while (order.size() < members[c].size()) {
+            const auto [entry_score, neg_id] = heap.top();
+            heap.pop();
+            const auto v = static_cast<VertexId>(-neg_id);
+            if (placed[v] != 0 || entry_score != score[v]) continue;
+            order.push_back(v);
+            place(v);
+            for (VertexId u : index.neighbors(v)) {
+                if (placed[u] == 0 && component[u] == c) {
+                    heap.emplace(score[u], -static_cast<std::int64_t>(u));
                 }
             }
-            out.component_orders[c].push_back(best);
-            place(best);
         }
     }
     return out;
@@ -417,6 +460,13 @@ struct FcSearcher {
     // allocated once, not per node; valid only within the call that
     // filled it (nothing assigns between the fill and the drain).
     std::vector<std::pair<const Simplex*, std::uint32_t>> fc_pending;
+    // Root propagation only (try_assign's unmemoized branch): the
+    // codomain's 1-skeleton, built on the first pending constraint so
+    // problems without one never pay for it, and per constraint a dense
+    // count over codomain ids (zeroed again through the touched list).
+    std::optional<topo::AdjacencyIndex> codomain_adjacency;
+    std::vector<std::uint32_t> image_fit;
+    std::vector<VertexId> image_fit_touched;
 
     // Luby restart state, driven by fc_solve_component: once the
     // current run's backtracks reach restart_limit, search() unwinds
@@ -783,18 +833,50 @@ struct FcSearcher {
             } else {
                 // Root propagation: every fixed vertex is assigned
                 // once, so a mask would never be reused; test only the
-                // still-live values, in the same ascending order.
+                // still-live values, in the same ascending order. A
+                // value that neither equals nor neighbors (in the
+                // codomain's 1-skeleton) every assigned image vertex
+                // cannot complete a codomain simplex, so it is pruned
+                // without the exact probe, which would reject it; the
+                // probe decides the rest (a value equal to an image
+                // vertex collapses with it in the Simplex).
                 const SimplicialComplex& allowed =
                     cache->allowed(problem, index.id_of(sigma_ptr), sigma);
+                if (!codomain_adjacency.has_value()) {
+                    codomain_adjacency.emplace(problem.codomain->complex(),
+                                               false);
+                }
+                // image_fit[w]: the assigned slots whose value w equals
+                // or neighbors (at most one per slot: no vertex is its
+                // own neighbor); a value may fit only at the full count.
+                const auto bump = [this](VertexId w) {
+                    if (w >= image_fit.size()) image_fit.resize(w + 1, 0);
+                    if (image_fit[w]++ == 0) image_fit_touched.push_back(w);
+                };
+                for (std::size_t j = 0; j < image.size(); ++j) {
+                    if (j == u_slot) continue;
+                    bump(image[j]);
+                    for (VertexId w : codomain_adjacency->neighbors(image[j])) {
+                        bump(w);
+                    }
+                }
+                const std::size_t slots = image.size() - 1;
                 for (std::size_t i = 0; i < uvar.values.size(); ++i) {
                     if (!uvar.active[i]) continue;
-                    image[u_slot] = uvar.values[i];
+                    const VertexId c = uvar.values[i];
+                    if (c >= image_fit.size() || image_fit[c] != slots) {
+                        prune(u_idx, i, sigma_ptr);
+                        continue;
+                    }
+                    image[u_slot] = c;
                     const Simplex img{std::vector<VertexId>(image)};
                     if (!problem.codomain->contains(img) ||
                         !allowed.contains(img)) {
                         prune(u_idx, i, sigma_ptr);
                     }
                 }
+                for (VertexId w : image_fit_touched) image_fit[w] = 0;
+                image_fit_touched.clear();
             }
             if (uvar.active_count == 0) {
                 record_wipeout(u_idx);
@@ -940,17 +1022,27 @@ struct FcSearcher {
     }
 };
 
+/// How root propagation ended.
+enum class RootOutcome { kPropagated, kConflict, kCancelled };
+
 /// Root propagation of the fixed assignments, done once per solve: they
 /// are not search decisions, so a conflict here proves unsatisfiability
 /// outright, and the pruning they induce on the free domains is the same
 /// for every free-vertex component and every portfolio thread — the FC
-/// engine used to redo it (components x threads) times. Returns the
-/// pruned per-vertex domains, or nullopt on a root conflict.
-std::optional<DomainMap> propagate_fixed_snapshot(
-    const ChromaticMapProblem& problem, const topo::AdjacencyIndex& index,
-    const std::vector<VertexId>& fixed_order,
-    const DomainMap& base_domains) {
-    if (fixed_order.empty()) return base_domains;
+/// engine used to redo it (components x threads) times. On kPropagated,
+/// `pruned` holds the pruned per-vertex domains. Polls `cancel` once per
+/// fixed vertex.
+RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
+                                     const topo::AdjacencyIndex& index,
+                                     const std::vector<VertexId>& vertices,
+                                     const std::vector<VertexId>& fixed_order,
+                                     const DomainMap& base_domains,
+                                     const exec::CancelToken* cancel,
+                                     DomainMap& pruned) {
+    if (fixed_order.empty()) {
+        pruned = base_domains;
+        return RootOutcome::kPropagated;
+    }
 
     // A throwaway cache: the root assigns each fixed vertex once, so
     // only the allowed() table is worth keeping (image memos off, which
@@ -962,7 +1054,7 @@ std::optional<DomainMap> propagate_fixed_snapshot(
         s.var_index[v] = s.vars.size();
         s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, true, {}});
     }
-    for (VertexId v : problem.domain->vertex_ids()) {
+    for (VertexId v : vertices) {
         if (problem.fixed.count(v) != 0) continue;
         s.var_index[v] = s.vars.size();
         s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, false, {}});
@@ -973,13 +1065,16 @@ std::optional<DomainMap> propagate_fixed_snapshot(
     }
     s.finalize_vars();
     for (VertexId v : fixed_order) {
+        if (cancel != nullptr && cancel->cancelled()) {
+            return RootOutcome::kCancelled;
+        }
         const std::size_t idx = s.var_index.at(v);
         if (s.vars[idx].values.empty() ||
             !s.try_assign(idx, s.vars[idx].values.front())) {
-            return std::nullopt;
+            return RootOutcome::kConflict;
         }
     }
-    DomainMap pruned;
+    pruned.clear();
     pruned.reserve(s.vars.size());
     for (const FcSearcher::Var& var : s.vars) {
         std::vector<VertexId> live;
@@ -989,7 +1084,7 @@ std::optional<DomainMap> propagate_fixed_snapshot(
         }
         pruned.emplace(var.v, std::move(live));
     }
-    return pruned;
+    return RootOutcome::kPropagated;
 }
 
 /// The Luby restart sequence, 1-indexed: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2,
@@ -1304,24 +1399,35 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
     // engine only needs the neighbor sets for decomposition.
     const topo::AdjacencyIndex index(problem.domain->complex(),
                                      !config.naive_engine);
-    const Decomposition dec = decompose(problem, index);
-    const DomainMap base_domains = all_initial_domains(problem);
+    const std::vector<VertexId> vertices = problem.domain->vertex_ids();
+    const Decomposition dec = decompose(problem, index, vertices);
+    // A set-up cut short by `config.cancel` answers like a cancelled
+    // search: no map, not exhausted.
+    const std::optional<DomainMap> initial =
+        all_initial_domains(problem, vertices, config.cancel);
+    if (!initial.has_value()) return ChromaticMapResult{};
+    const DomainMap& base_domains = *initial;
 
     // Fixed-vertex root propagation, once per solve (shipped engine only;
     // the naive reference keeps the raw domains).
     DomainMap propagated_domains;
     if (!config.naive_engine) {
-        auto snapshot = propagate_fixed_snapshot(problem, index,
-                                                 dec.fixed_order,
-                                                 base_domains);
-        if (!snapshot.has_value()) {
-            // A conflict among the fixed assignments alone proves
-            // unsatisfiability outright (they are not search decisions).
-            ChromaticMapResult result;
-            result.exhausted = true;
-            return result;
+        switch (propagate_fixed_snapshot(problem, index, vertices,
+                                         dec.fixed_order, base_domains,
+                                         config.cancel, propagated_domains)) {
+            case RootOutcome::kPropagated:
+                break;
+            case RootOutcome::kConflict: {
+                // A conflict among the fixed assignments alone proves
+                // unsatisfiability outright (they are not search
+                // decisions).
+                ChromaticMapResult result;
+                result.exhausted = true;
+                return result;
+            }
+            case RootOutcome::kCancelled:
+                return ChromaticMapResult{};
         }
-        propagated_domains = std::move(*snapshot);
     }
 
     ChromaticMapResult result;

@@ -91,7 +91,8 @@ struct ChromaticMapProblem {
     /// maps are, by condition (ii) of Section 3.2).
     /// @note Must be pure and stable within one solve: the solver's
     /// memoization layers (core/eval_cache.h) cache both the returned
-    /// reference and evaluation results against it. With num_threads > 1
+    /// reference and evaluation results against it, and the initial
+    /// domain filter keeps one vertex table per returned reference. With num_threads > 1
     /// it is called concurrently and must be thread-safe for reads.
     std::function<const SimplicialComplex&(const Simplex&)> allowed;
 
@@ -205,7 +206,10 @@ struct SolverConfig {
     /// @brief External cancellation (exec/cancel.h): when set, the
     /// search aborts at its backtrack checkpoints once the token is
     /// cancelled or past its deadline — the same "not a proof" abort as
-    /// a spent backtrack budget (`exhausted` comes back false). Not
+    /// a spent backtrack budget (`exhausted` comes back false). The
+    /// set-up polls it too: once per domain vertex while building the
+    /// initial domains (before each candidate_order call) and once per
+    /// fixed vertex in root propagation. Not
     /// owned; must outlive the solve. Null = never cancelled. The
     /// engine threads EngineOptions::time_budget_ms through here, and
     /// the portfolio race runs under a child of this token so settling

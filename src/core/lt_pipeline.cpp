@@ -5,6 +5,8 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <vector>
 
 #include "util/require.h"
 
@@ -26,15 +28,6 @@ std::size_t ring_of_stable_facet(const TerminatingSubdivision& tsub,
     return std::max<std::size_t>(tsub.stable_since(global_facet), 2) - 2;
 }
 
-bool point_in_l(const tasks::AffineTask& lt, const BaryPoint& x) {
-    for (const Simplex& f : lt.l_complex.facets()) {
-        if (topo::point_in_simplex(x, lt.subdivision.positions_of(f))) {
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<Simplex> l_boundary_edges(const tasks::AffineTask& lt) {
     // Boundary edges: faces of exactly one facet of L.
     std::map<Simplex, int> facet_count;
@@ -50,6 +43,17 @@ std::vector<Simplex> l_boundary_edges(const tasks::AffineTask& lt) {
 
 namespace {
 
+/// Dense coordinates of `p` over the base vertex ids 0..n; false when p
+/// has a coordinate outside them.
+bool dense_coords(const BaryPoint& p, int n, std::vector<Rational>& out) {
+    out.assign(static_cast<std::size_t>(n) + 1, Rational(0));
+    for (const auto& [v, w] : p.coords()) {
+        if (v > static_cast<VertexId>(n)) return false;
+        out[v] = w;
+    }
+    return true;
+}
+
 /// Coordinate difference b - a over the base vertex ids 0..n.
 std::vector<Rational> coord_diff(const BaryPoint& b, const BaryPoint& a,
                                  int n) {
@@ -62,64 +66,202 @@ std::vector<Rational> coord_diff(const BaryPoint& b, const BaryPoint& a,
     return out;
 }
 
-/// Intersection of the ray c + s*(x - c) with the segment [a, b]:
-/// solutions (s, u) of c + s d = a + u e with u in [0,1]; collinear cases
-/// yield the endpoints. Returns candidate s values with their points.
-struct RayHit {
-    Rational s;
-    BaryPoint point;
-};
-
-void ray_segment_hits(const BaryPoint& c, const BaryPoint& x,
-                      const BaryPoint& a, const BaryPoint& b, int n,
-                      std::vector<RayHit>& out) {
-    const std::vector<Rational> d = coord_diff(x, c, n);
-    const std::vector<Rational> e = coord_diff(b, a, n);
-    const std::vector<Rational> rhs = coord_diff(a, c, n);
-
-    // Find a non-singular 2x2 subsystem s*d - u*e = rhs.
-    for (int i = 0; i <= n; ++i) {
-        for (int j = i + 1; j <= n; ++j) {
-            const Rational det = d[i] * (-e[j]) - (-e[i]) * d[j];
-            if (det.is_zero()) continue;
-            const Rational s =
-                (rhs[i] * (-e[j]) - (-e[i]) * rhs[j]) / det;
-            const Rational u = (d[i] * rhs[j] - rhs[i] * d[j]) / det;
-            // Verify the remaining coordinates.
-            for (int m = 0; m <= n; ++m) {
-                if (!(s * d[m] - u * e[m] == rhs[m])) return;  // no solution
+/// The exact geometry of |L| that the radial projection f reads, built
+/// once per problem and immutable afterwards (so concurrent candidate
+/// closures share it without locks): L's facets with their vertex
+/// positions and exact per-coordinate bounding boxes, and the boundary
+/// segments of |L| with their direction b - a and, per corner c of s,
+/// the offsets a - c and b - c the ray equations need.
+class RadialGeometry {
+public:
+    explicit RadialGeometry(const tasks::AffineTask& lt)
+        : n_(lt.subdivision.base().dimension()) {
+        const std::size_t width = static_cast<std::size_t>(n_) + 1;
+        for (const Simplex& f : lt.l_complex.facets()) {
+            Facet facet;
+            facet.positions = lt.subdivision.positions_of(f);
+            std::vector<Rational> x;
+            for (const BaryPoint& pos : facet.positions) {
+                require(dense_coords(pos, n_, x),
+                        "RadialGeometry: L vertex outside the base");
+                if (facet.lo.empty()) {
+                    facet.lo = x;
+                    facet.hi = x;
+                    continue;
+                }
+                for (std::size_t c = 0; c < width; ++c) {
+                    facet.lo[c] = std::min(facet.lo[c], x[c]);
+                    facet.hi[c] = std::max(facet.hi[c], x[c]);
+                }
             }
-            if (u < Rational(0) || u > Rational(1)) return;
-            if (s <= Rational(0)) return;
-            std::vector<BaryPoint> pts = {a, b};
-            std::vector<Rational> weights = {Rational(1) - u, u};
-            out.push_back(RayHit{s, BaryPoint::combination(pts, weights)});
-            return;
+            facets_.push_back(std::move(facet));
+        }
+        for (const Simplex& e : l_boundary_edges(lt)) {
+            const auto pos = lt.subdivision.positions_of(e);
+            Segment seg{pos[0], pos[1], coord_diff(pos[1], pos[0], n_), {},
+                        {}};
+            for (int corner = 0; corner <= n_; ++corner) {
+                const BaryPoint c =
+                    BaryPoint::vertex(static_cast<VertexId>(corner));
+                seg.a_rel.push_back(coord_diff(seg.a, c, n_));
+                seg.b_rel.push_back(coord_diff(seg.b, c, n_));
+            }
+            segments_.push_back(std::move(seg));
         }
     }
-    // All 2x2 systems singular: d parallel to e (or degenerate). The
-    // collinear case contributes the endpoints if they lie on the ray.
-    for (const BaryPoint& endpoint : {a, b}) {
-        const std::vector<Rational> g = coord_diff(endpoint, c, n);
-        // endpoint = c + s*d needs g = s*d componentwise.
+
+    /// Whether x lies in |L|: the box filter rejects every facet whose
+    /// box misses x (a closed simplex lies inside its vertices' box),
+    /// topo::point_in_simplex decides the rest.
+    bool contains(const BaryPoint& x) const {
+        std::vector<Rational> coords;
+        if (!dense_coords(x, n_, coords)) return false;
+        for (const Facet& f : facets_) {
+            bool in_box = true;
+            for (std::size_t c = 0; c < coords.size(); ++c) {
+                if (coords[c] < f.lo[c] || f.hi[c] < coords[c]) {
+                    in_box = false;
+                    break;
+                }
+            }
+            if (in_box && topo::point_in_simplex(x, f.positions)) {
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /// f(x): x itself on |L|; otherwise the first boundary hit of the
+    /// ray from the one corner whose ray reaches x before |L|.
+    BaryPoint project(const BaryPoint& x) const {
+        require(n_ == 2, "radial_projection_l1: implemented for n = 2");
+        if (contains(x)) return x;
+
+        // Identify the corner whose radial ray reaches x before R_0: the
+        // one for which every boundary hit is at parameter s >= 1.
+        std::optional<BaryPoint> best;
+        for (int corner = 0; corner <= n_; ++corner) {
+            const BaryPoint c =
+                BaryPoint::vertex(static_cast<VertexId>(corner));
+            if (x == c) continue;
+            const std::vector<Rational> d = coord_diff(x, c, n_);
+            // The first hit of minimal s, in segment order; only its
+            // point is ever built.
+            std::optional<RayHit> min_hit;
+            for (std::size_t i = 0; i < segments_.size(); ++i) {
+                hit_segment(d, i, static_cast<std::size_t>(corner),
+                            min_hit);
+            }
+            if (!min_hit.has_value()) continue;
+            if (min_hit->s >= Rational(1)) {
+                require(!best.has_value(),
+                        "radial_projection_l1: ambiguous corner for " +
+                            x.to_string());
+                best = hit_point(*min_hit);
+            }
+        }
+        require(best.has_value(),
+                "radial_projection_l1: no corner projects " + x.to_string());
+        return *best;
+    }
+
+private:
+    struct Facet {
+        std::vector<BaryPoint> positions;
+        std::vector<Rational> lo, hi;  // dense over base ids 0..n
+    };
+    struct Segment {
+        BaryPoint a, b;
+        std::vector<Rational> e;                   // b - a
+        std::vector<std::vector<Rational>> a_rel;  // a - c, per corner c
+        std::vector<std::vector<Rational>> b_rel;  // b - c, per corner c
+    };
+    /// One intersection of the ray with a segment: the ray parameter s
+    /// and where on the segment it lands — the point a + u (b - a), or
+    /// one endpoint of a segment collinear with the ray.
+    struct RayHit {
         Rational s;
-        bool found_s = false;
-        bool ok = true;
-        for (int m = 0; m <= n; ++m) {
-            if (d[m].is_zero()) {
-                if (!g[m].is_zero()) ok = false;
-            } else if (!found_s) {
-                s = g[m] / d[m];
-                found_s = true;
-            } else if (!(g[m] == s * d[m])) {
-                ok = false;
+        std::size_t segment = 0;
+        Rational u;
+        enum class At { kInterior, kA, kB } at = At::kInterior;
+    };
+
+    /// Intersect the ray c + s*d (d = x - c) with segment i: solutions
+    /// (s, u) of c + s d = a + u e with u in [0,1] and s > 0; collinear
+    /// cases yield the endpoints. Each hit replaces `min_hit` only when
+    /// its s is strictly smaller, so ties keep the earliest hit.
+    void hit_segment(const std::vector<Rational>& d, std::size_t i,
+                     std::size_t corner,
+                     std::optional<RayHit>& min_hit) const {
+        const Segment& seg = segments_[i];
+        const std::vector<Rational>& e = seg.e;
+        const std::vector<Rational>& rhs = seg.a_rel[corner];
+        const auto offer = [&](const Rational& s, const Rational& u,
+                               RayHit::At at) {
+            if (!min_hit.has_value() || s < min_hit->s) {
+                min_hit = RayHit{s, i, u, at};
+            }
+        };
+
+        // Find a non-singular 2x2 subsystem s*d - u*e = rhs.
+        for (int r = 0; r <= n_; ++r) {
+            for (int q = r + 1; q <= n_; ++q) {
+                const Rational det = d[r] * (-e[q]) - (-e[r]) * d[q];
+                if (det.is_zero()) continue;
+                const Rational s =
+                    (rhs[r] * (-e[q]) - (-e[r]) * rhs[q]) / det;
+                const Rational u = (d[r] * rhs[q] - rhs[r] * d[q]) / det;
+                // Verify the remaining coordinates.
+                for (int m = 0; m <= n_; ++m) {
+                    if (!(s * d[m] - u * e[m] == rhs[m])) return;
+                }
+                if (u < Rational(0) || u > Rational(1)) return;
+                if (s <= Rational(0)) return;
+                offer(s, u, RayHit::At::kInterior);
+                return;
             }
         }
-        if (ok && found_s && s > Rational(0)) {
-            out.push_back(RayHit{s, endpoint});
+        // All 2x2 systems singular: d parallel to e (or degenerate). The
+        // collinear case contributes the endpoints if they lie on the ray.
+        for (const RayHit::At at : {RayHit::At::kA, RayHit::At::kB}) {
+            const std::vector<Rational>& g =
+                at == RayHit::At::kA ? rhs : seg.b_rel[corner];
+            // endpoint = c + s*d needs g = s*d componentwise.
+            Rational s;
+            bool found_s = false;
+            bool ok = true;
+            for (int m = 0; m <= n_; ++m) {
+                if (d[m].is_zero()) {
+                    if (!g[m].is_zero()) ok = false;
+                } else if (!found_s) {
+                    s = g[m] / d[m];
+                    found_s = true;
+                } else if (!(g[m] == s * d[m])) {
+                    ok = false;
+                }
+            }
+            if (ok && found_s && s > Rational(0)) offer(s, Rational(0), at);
         }
     }
-}
+
+    BaryPoint hit_point(const RayHit& hit) const {
+        const Segment& seg = segments_[hit.segment];
+        switch (hit.at) {
+            case RayHit::At::kA:
+                return seg.a;
+            case RayHit::At::kB:
+                return seg.b;
+            case RayHit::At::kInterior:
+                break;
+        }
+        return BaryPoint::combination({seg.a, seg.b},
+                                      {Rational(1) - hit.u, hit.u});
+    }
+
+    int n_;
+    std::vector<Facet> facets_;
+    std::vector<Segment> segments_;
+};
 
 // Shared-denominator headroom for the integer candidate-distance fast
 // path below: an l1 distance accumulates at most 2(n + 1) terms of
@@ -135,43 +277,13 @@ std::int64_t lcm_capped(std::int64_t a, std::int64_t b) {
 
 }  // namespace
 
+bool point_in_l(const tasks::AffineTask& lt, const BaryPoint& x) {
+    return RadialGeometry(lt).contains(x);
+}
+
 BaryPoint radial_projection_l1(const tasks::AffineTask& lt,
                                const BaryPoint& x) {
-    const int n = lt.subdivision.base().dimension();
-    require(n == 2, "radial_projection_l1: implemented for n = 2");
-    if (point_in_l(lt, x)) return x;
-
-    // Boundary edges of |L_1| as geometric segments.
-    std::vector<std::pair<BaryPoint, BaryPoint>> segments;
-    for (const Simplex& e : l_boundary_edges(lt)) {
-        const auto pos = lt.subdivision.positions_of(e);
-        segments.emplace_back(pos[0], pos[1]);
-    }
-
-    // Identify the corner whose radial ray reaches x before R_0: the one
-    // for which every boundary hit is at parameter s >= 1.
-    std::optional<BaryPoint> best;
-    for (int corner = 0; corner <= n; ++corner) {
-        const BaryPoint c = BaryPoint::vertex(static_cast<VertexId>(corner));
-        if (x == c) continue;
-        std::vector<RayHit> hits;
-        for (const auto& [a, b] : segments) {
-            ray_segment_hits(c, x, a, b, n, hits);
-        }
-        if (hits.empty()) continue;
-        const auto min_hit = std::min_element(
-            hits.begin(), hits.end(),
-            [](const RayHit& p, const RayHit& q) { return p.s < q.s; });
-        if (min_hit->s >= Rational(1)) {
-            require(!best.has_value(),
-                    "radial_projection_l1: ambiguous corner for " +
-                        x.to_string());
-            best = min_hit->point;
-        }
-    }
-    require(best.has_value(),
-            "radial_projection_l1: no corner projects " + x.to_string());
-    return *best;
+    return RadialGeometry(lt).project(x);
 }
 
 ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
@@ -238,8 +350,10 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
         // rationals they stand for (ties broken by vertex id either way);
         // if an lcm would overflow the headroom, the closure falls back
         // to exact Rational distances — same order, just slower.
-        const bool radial = guidance == LtGuidance::kRadial;
         struct Guide {
+            // The radial projection's geometry (kRadial only), built
+            // here once instead of once per closure call.
+            std::optional<RadialGeometry> radial;
             std::map<topo::Color,
                      std::vector<std::pair<BaryPoint, VertexId>>> exact;
             // Entry-for-entry with `exact`: the same coordinates as
@@ -251,6 +365,7 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
             bool use_scaled = true;
         };
         auto guide = std::make_shared<Guide>();
+        if (guidance == LtGuidance::kRadial) guide->radial.emplace(task);
         for (VertexId w : task.task.outputs.vertex_ids()) {
             guide->exact[task.task.outputs.color(w)].emplace_back(
                 task.subdivision.position(w), w);
@@ -283,11 +398,12 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
                 }
             }
         }
-        problem.candidate_order = [&task, &tsub, radial,
-                                   guide](VertexId v) {
+        problem.candidate_order = [&tsub, guide](VertexId v) {
             const topo::Color color = tsub.stable_complex().color(v);
             BaryPoint target = tsub.stable_position(v);
-            if (radial) target = radial_projection_l1(task, target);
+            if (guide->radial.has_value()) {
+                target = guide->radial->project(target);
+            }
             std::vector<VertexId> order;
             const auto it = guide->exact.find(color);
             if (it == guide->exact.end()) return order;

@@ -80,14 +80,18 @@ std::size_t ring_of_stable_facet(const TerminatingSubdivision& tsub,
 /// Exact radial projection f of Section 9.2 for n = 2, t = 1: identity on
 /// |L_1|, and radial projection away from the nearest corner onto the
 /// boundary of |L_1| outside. Requires x in |s| and not a corner.
+/// Builds the geometry of |L| for this one call; the radial candidate
+/// guidance of lt_approximation_problem builds it once per problem and
+/// runs the same projection.
 BaryPoint radial_projection_l1(const tasks::AffineTask& lt,
                                const BaryPoint& x);
 
-/// Whether `x` lies in the realization of the task's complex L.
+/// Whether `x` lies in the realization of the task's complex L (the
+/// same test the radial projection starts with).
 bool point_in_l(const tasks::AffineTask& lt, const BaryPoint& x);
 
-/// The boundary edges of |L| (faces of exactly one facet of L), used by
-/// the radial projection and by the figure bench.
+/// The boundary edges of |L| (faces of exactly one facet of L): the
+/// segments the radial projection lands on.
 std::vector<Simplex> l_boundary_edges(const tasks::AffineTask& lt);
 
 /// Admissibility of T for a set of runs (Theorem 6.1 condition (a)):

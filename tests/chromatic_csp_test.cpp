@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/lt_pipeline.h"
+#include "engine/report_json.h"
+#include "exec/cancel.h"
 #include "topology/carrier_map.h"
 #include "topology/subdivision.h"
 
@@ -377,6 +380,145 @@ TEST(ChromaticCspConfig, ShuffledValueOrderIsDeterministicPerSeed) {
     ASSERT_TRUE(second.map.has_value());
     EXPECT_EQ(first.map->apply(topo::VertexId{0}),
               second.map->apply(topo::VertexId{0}));
+}
+
+// --- the L_t (n = 2, t = 1) approximation CSP ------------------------------
+
+/// K(T) of the Section 9.2 construction with two stabilization stages
+/// past Chr^2 s: the terminating subdivision the engine builds for
+/// lt-2-1-res1 (LtStableRule over 4 stages) and bench_csp_ablation's
+/// default instance.
+struct LtInstance {
+    tasks::AffineTask task = tasks::t_resilience_task(2, 1);
+    TerminatingSubdivision tsub{topo::ChromaticComplex::standard_simplex(2)};
+
+    LtInstance() {
+        for (int stage = 0; stage < 4; ++stage) {
+            tsub.advance([](const topo::SubdividedComplex& cx,
+                            const Simplex& s) {
+                return lt_stable_rule(2, 1, cx, s);
+            });
+        }
+    }
+};
+
+const LtInstance& lt_instance() {
+    static const LtInstance instance;
+    return instance;
+}
+
+TEST(ChromaticCspPinned, FreeR0RadialSearchCounters) {
+    // The ablation bench's searching cell: R_0 left free, radial
+    // candidate guidance, one thread. Every counter of the shipped
+    // engine is pinned, so a change to the set-up (decomposition order,
+    // initial domains, root pruning) or to the search itself that moves
+    // the search shows here — re-pin only deliberately.
+    const LtInstance& inst = lt_instance();
+    const ChromaticMapProblem problem = lt_approximation_problem(
+        inst.task, inst.tsub, /*fix_identity=*/false, LtGuidance::kRadial);
+    const ChromaticMapResult result =
+        solve_chromatic_map(problem, SolverConfig::fast());
+    ASSERT_TRUE(result.map.has_value());
+    EXPECT_EQ(engine::witness_digest_hex(*result.map), "c6de68e4b066261e");
+    const SearchCounters& c = result.counters;
+    EXPECT_EQ(c.backtracks, 167u);
+    EXPECT_EQ(c.nogood_prunings, 72u);
+    EXPECT_EQ(c.nogoods_recorded, 167u);
+    EXPECT_EQ(c.nogoods_evicted, 0u);
+    EXPECT_EQ(c.restarts, 0u);
+    EXPECT_EQ(c.backjumps, 276u);
+    EXPECT_EQ(c.pool_seeded, 0u);
+    EXPECT_EQ(c.pool_published, 0u);
+    EXPECT_EQ(c.exchange_published, 0u);
+    EXPECT_EQ(c.exchange_imported, 0u);
+    EXPECT_EQ(c.eval_cache_hits, 5331u);
+    EXPECT_EQ(c.eval_cache_misses, 5951u);
+}
+
+TEST(ChromaticCspPinned, NaiveReferenceBacktracks) {
+    // The naive engine branches in decompose()'s static
+    // maximum-cardinality order (the shipped engine picks by MRV and
+    // never reads it), so these counts pin that order: the ablation
+    // bench's naive rows.
+    const LtInstance& inst = lt_instance();
+    struct Cell {
+        bool fix_identity;
+        LtGuidance guidance;
+        std::size_t backtracks;
+        const char* digest;
+    };
+    for (const Cell& cell :
+         {Cell{false, LtGuidance::kRadial, 640, "2804cd4511698afd"},
+          Cell{true, LtGuidance::kNone, 2046, "f3ce5d89159d5770"}}) {
+        const ChromaticMapProblem problem = lt_approximation_problem(
+            inst.task, inst.tsub, cell.fix_identity, cell.guidance);
+        const ChromaticMapResult result =
+            solve_chromatic_map(problem, SolverConfig::naive());
+        ASSERT_TRUE(result.map.has_value());
+        EXPECT_EQ(result.counters.backtracks, cell.backtracks);
+        EXPECT_EQ(engine::witness_digest_hex(*result.map), cell.digest);
+    }
+}
+
+TEST(ChromaticCspCancel, CancelledSetupSkipsCandidateOrders) {
+    // A token cancelled before the solve stops the domain build at its
+    // first vertex: the result is a cancelled search's (no map, not
+    // exhausted), and the expensive candidate closure is not run for
+    // the rest of K(T).
+    const LtInstance& inst = lt_instance();
+    ChromaticMapProblem problem = lt_approximation_problem(
+        inst.task, inst.tsub, /*fix_identity=*/true, LtGuidance::kRadial);
+    std::size_t calls = 0;
+    problem.candidate_order = [&calls, inner = problem.candidate_order](
+                                  VertexId v) {
+        ++calls;
+        return inner(v);
+    };
+    exec::CancelToken token;
+    token.cancel();
+    for (SolverConfig config : {SolverConfig::fast(), SolverConfig::naive(),
+                                SolverConfig::portfolio(2)}) {
+        calls = 0;
+        config.cancel = &token;
+        const ChromaticMapResult result = solve_chromatic_map(problem, config);
+        EXPECT_FALSE(result.map.has_value());
+        EXPECT_FALSE(result.exhausted);
+        EXPECT_LE(calls, 1u);
+    }
+}
+
+TEST(ChromaticCspCancel, CancelDuringDomainsStopsRootPropagation) {
+    // Cancelled while the last vertex's domain is being filtered: the
+    // domain build finishes, and root propagation polls before its
+    // first fixed vertex, so no constraint of dimension >= 1 is ever
+    // evaluated (the uncancelled solve evaluates many).
+    const LtInstance& inst = lt_instance();
+    ChromaticMapProblem problem = lt_approximation_problem(
+        inst.task, inst.tsub, /*fix_identity=*/true, LtGuidance::kRadial);
+    const VertexId last = inst.tsub.stable_complex().vertex_ids().back();
+    const auto base_allowed = problem.allowed;
+    exec::CancelToken token;
+    bool cancel_at_last = true;
+    std::size_t constraint_calls = 0;
+    problem.allowed = [&](const Simplex& sigma) -> const SimplicialComplex& {
+        if (sigma.size() > 1) ++constraint_calls;
+        if (cancel_at_last && sigma == Simplex{last}) token.cancel();
+        return base_allowed(sigma);
+    };
+    SolverConfig config = SolverConfig::fast();
+    config.cancel = &token;
+    const ChromaticMapResult cancelled = solve_chromatic_map(problem, config);
+    EXPECT_FALSE(cancelled.map.has_value());
+    EXPECT_FALSE(cancelled.exhausted);
+    EXPECT_EQ(constraint_calls, 0u);
+
+    // Not vacuous: left alone, the same solve evaluates constraints.
+    cancel_at_last = false;
+    exec::CancelToken fresh;
+    config.cancel = &fresh;
+    const ChromaticMapResult solved = solve_chromatic_map(problem, config);
+    EXPECT_TRUE(solved.map.has_value());
+    EXPECT_GT(constraint_calls, 0u);
 }
 
 }  // namespace

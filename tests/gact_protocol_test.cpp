@@ -1,8 +1,7 @@
-// The end-to-end reproduction of Proposition 9.2 (experiment E8 of
-// DESIGN.md): GACT builds a terminating subdivision and a chromatic map
-// for L_1 in Res_1; protocol extraction turns them into an executable
-// protocol; the Definition 4.1 verifier confirms solvability on the
-// compact run family.
+// The end-to-end reproduction of Proposition 9.2: GACT builds a
+// terminating subdivision and a chromatic map for L_1 in Res_1; protocol
+// extraction turns them into an executable protocol; the Definition 4.1
+// verifier confirms solvability on the compact run family.
 #include "protocol/gact_protocol.h"
 
 #include <gtest/gtest.h>

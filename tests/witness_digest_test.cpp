@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <string>
 
@@ -67,6 +68,65 @@ TEST(WitnessDigest, QuickRegistryGoldens) {
             << ": extend the golden tables";
         EXPECT_EQ(report.verdict, expected->second) << report.summary();
         EXPECT_FALSE(report.witness.has_value()) << report.scenario;
+    }
+}
+
+TEST(WitnessDigest, QuickGridGoldens) {
+    // The quick sweep grid (gact_sweep --preset quick --json): per cell
+    // the verdict, the total search backtracks and the witness digest
+    // ("" when there is no witness). The backtrack counts pin the search
+    // itself — the solver's free-vertex components, initial domains and
+    // root pruning — so a change that keeps every witness but reshapes
+    // the search shows here too. Re-pin only deliberately.
+    struct Golden {
+        const char* name;
+        const char* verdict;
+        std::size_t backtracks;
+        const char* digest;
+    };
+    const Golden goldens[] = {
+        {"wf-consensus-2-2", "unsolvable-to-depth", 40, ""},
+        {"wf-consensus-2-3", "unsolvable-to-depth", 40, ""},
+        {"wf-is-1", "solvable", 1, "063b4171af8dc8c2"},
+        {"wf-is-2", "solvable", 1, "36e503452cdda31f"},
+        {"ksa-2-1-2-wf", "unsolvable-to-depth", 4, ""},
+        {"ksa-2-2-2-wf", "solvable", 0, "063b4171af8dc8c2"},
+        {"lord-1-wf", "unsolvable-to-depth", 40, ""},
+        {"lt-1-1-wf", "solvable", 13, "ca6bbc8c1ed9a317"},
+        {"lt-1-1-res1", "solvable", 0, "9f3845661ac72699"},
+        {"lt-1-1-adv1", "solvable", 0, "9f3845661ac72699"},
+        {"lt-2-1-res1", "solvable", 0, "2804cd4511698afd"},
+        {"lt-2-1-adv1", "solvable", 0, "2804cd4511698afd"},
+        {"lt-2-2-res1", "solvable", 0, "b4308f7c303faee2"},
+        {"lt-2-2-adv1", "solvable", 0, "b4308f7c303faee2"},
+        {"is-1-of1", "solvable", 0, "4e2d7c2dadbe27c2"},
+        {"is-1-of2", "solvable", 0, "4e2d7c2dadbe27c2"},
+        {"is-2-of1", "solvable", 0, "29caf900af715a50"},
+        {"is-2-of2", "solvable", 0, "29caf900af715a50"},
+        {"approx-1-of1", "solvable", 0, "9f3845661ac72699"},
+        {"approx-1-of2", "solvable", 0, "9f3845661ac72699"},
+        {"approx-2-of1", "solvable", 0, "b4308f7c303faee2"},
+        {"approx-2-of2", "solvable", 0, "b4308f7c303faee2"},
+    };
+
+    const auto scenarios = ScenarioRegistry::standard().quick_grid();
+    ASSERT_EQ(scenarios.size(), std::size(goldens))
+        << "quick grid changed size: extend the golden table";
+    const auto reports = Engine().solve_batch(scenarios, 4);
+    ASSERT_EQ(reports.size(), scenarios.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const SolveReport& report = reports[i];
+        const Golden& golden = goldens[i];
+        ASSERT_EQ(report.scenario, golden.name);
+        EXPECT_EQ(to_string(report.verdict), std::string(golden.verdict))
+            << report.summary();
+        EXPECT_EQ(report.total_backtracks, golden.backtracks)
+            << report.scenario;
+        EXPECT_EQ(report.witness.has_value()
+                      ? witness_digest_hex(*report.witness)
+                      : std::string(),
+                  golden.digest)
+            << report.scenario;
     }
 }
 
