@@ -15,8 +15,11 @@ namespace gact::core {
 bool lt_stable_rule(int n, int t, const SubdividedComplex& cx,
                     const Simplex& s) {
     if (cx.depth() < 2) return false;
+    // BaryPoint drops zero weights, so the carrier of v has exactly one
+    // vertex per coordinate: read its dimension without building it.
     for (VertexId v : s.vertices()) {
-        if (cx.carrier(v).dimension() < n - t) return false;
+        const auto dim = static_cast<int>(cx.position(v).coords().size()) - 1;
+        if (dim < n - t) return false;
     }
     return true;
 }

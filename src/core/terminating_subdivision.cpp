@@ -85,7 +85,7 @@ void TerminatingSubdivision::advance(
     // index-slotted tasks on the resident scheduler; the selected faces
     // are merged in facet order, and since the stable set is a *set*,
     // the merged result is identical to the sequential scan's.
-    const std::vector<Simplex> facets = cx.complex().facets();
+    const std::vector<Simplex>& facets = cx.facets();
     std::vector<std::vector<Simplex>> selected(facets.size());
     exec::for_index(
         exec::Scheduler::shared(), facets.size(), num_threads,
@@ -95,12 +95,13 @@ void TerminatingSubdivision::advance(
                 if (stabilize(cx, s)) selected[fi].push_back(s);
             }
         });
-    std::vector<Simplex> newly_stable;
+    // Newly stable simplices are referenced into `selected`, not copied.
+    std::vector<const Simplex*> newly_stable;
     for (const std::vector<Simplex>& faces : selected) {
         for (const Simplex& s : faces) {
             if (sigma_.contains(s)) continue;
             sigma_.add_simplex(s);
-            newly_stable.push_back(s);
+            newly_stable.push_back(&s);
         }
     }
 
@@ -123,13 +124,23 @@ void TerminatingSubdivision::advance(
         global_of.emplace(v, id);
         return id;
     };
-    for (const Simplex& s : newly_stable) {
+    std::vector<VertexId> face;
+    for (const Simplex* s : newly_stable) {
         std::vector<VertexId> verts;
-        verts.reserve(s.size());
-        for (VertexId v : s.vertices()) verts.push_back(global_id_memo(v));
+        verts.reserve(s->size());
+        for (VertexId v : s->vertices()) verts.push_back(global_id_memo(v));
         Simplex global(std::move(verts));
-        for (const Simplex& face : global.faces()) {
-            stable_since_.emplace(face, stage);
+        // Probe every face with a scratch vector; only a face not yet
+        // stamped gets a Simplex of its own.
+        const std::vector<VertexId>& gv = global.vertices();
+        for (std::uint32_t mask = 1; mask < (1u << gv.size()); ++mask) {
+            face.clear();
+            for (std::size_t i = 0; i < gv.size(); ++i) {
+                if (mask & (1u << i)) face.push_back(gv[i]);
+            }
+            if (stable_since_.find(face) == stable_since_.end()) {
+                stable_since_.emplace(Simplex(face), stage);
+            }
         }
         stable_simplices_.add_simplex(std::move(global));
     }

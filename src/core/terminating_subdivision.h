@@ -126,7 +126,9 @@ private:
     std::vector<BaryPoint> global_position_;
     std::unordered_map<VertexId, Color> global_color_;
     SimplicialComplex stable_simplices_;
-    std::unordered_map<Simplex, std::size_t> stable_since_;
+    std::unordered_map<Simplex, std::size_t, topo::SimplexSetHash,
+                       topo::SimplexSetEq>
+        stable_since_;
 };
 
 }  // namespace gact::core

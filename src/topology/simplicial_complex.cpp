@@ -137,8 +137,8 @@ std::vector<Simplex> SimplicialComplex::simplices_of_dimension(int d) const {
 std::vector<Simplex> SimplicialComplex::facets() const {
     // A simplex is maximal iff no coface obtained by adding one vertex of
     // the complex is present. Checking against all vertices is quadratic in
-    // the worst case; group by dimension instead: s is a facet iff it is not
-    // a face of any simplex of dimension dim(s)+1.
+    // the worst case; mark boundary faces instead: s is a facet iff it is
+    // not a boundary face of any simplex of the complex.
     std::vector<Simplex> out;
     std::unordered_set<Simplex> non_maximal;
     for (const Simplex& s : simplices_) {

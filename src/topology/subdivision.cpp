@@ -11,6 +11,7 @@ SubdividedComplex SubdividedComplex::identity(const ChromaticComplex& base) {
     SubdividedComplex out;
     out.base_ = base;
     out.complex_ = base;
+    out.facets_ = base.facets();
     const std::vector<VertexId> verts = base.vertex_ids();
     VertexId max_id = 0;
     for (VertexId v : verts) max_id = std::max(max_id, v);
@@ -54,7 +55,7 @@ SubdividedComplex SubdividedComplex::chromatic_subdivision_with_termination(
     // Pure reads of immutable state, so the units shard across threads;
     // the partition tables are precomputed once per facet size instead
     // of per facet.
-    const std::vector<Simplex> parents = complex_.facets();
+    const std::vector<Simplex>& parents = facets_;
     // Per facet size n: each ordered partition flattened to the sequence
     // of (vertex index, prefix-union bitmask) pairs its keys come from.
     // The pair tables depend only on n, so per parent the keys reduce to
@@ -216,6 +217,7 @@ SubdividedComplex SubdividedComplex::chromatic_subdivision_with_termination(
     // proper coloring is structural here.
     out.complex_ =
         ChromaticComplex::trusted(std::move(closure), std::move(colors));
+    out.facets_ = std::move(facets);
     return out;
 }
 
@@ -261,7 +263,7 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
     // Facets of Bary(C): flags sigma_0 < sigma_1 < ... < sigma_m of
     // simplices of C with sigma_m a facet.
     std::vector<Simplex> facets;
-    for (const Simplex& f : complex_.facets()) {
+    for (const Simplex& f : facets_) {
         // Enumerate flags ending at f: permutations of f's vertices define
         // maximal flags; build them from vertex orderings.
         const std::vector<VertexId>& pv = f.vertices();
@@ -280,6 +282,7 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
 
     out.complex_ = ChromaticComplex(SimplicialComplex::from_facets(facets),
                                     std::move(colors));
+    out.facets_ = std::move(facets);
     return out;
 }
 
@@ -372,7 +375,7 @@ SimplicialMap SubdividedComplex::retraction_to_parent(
 std::vector<Simplex> SubdividedComplex::facets_containing(
     const BaryPoint& p) const {
     std::vector<Simplex> out;
-    for (const Simplex& f : complex_.facets()) {
+    for (const Simplex& f : facets_) {
         if (point_in_simplex(p, positions_of(f))) out.push_back(f);
     }
     return out;
@@ -380,7 +383,7 @@ std::vector<Simplex> SubdividedComplex::facets_containing(
 
 void SubdividedComplex::verify_subdivision_exactness() const {
     // Every facet must be non-degenerate within its carrier.
-    for (const Simplex& f : complex_.facets()) {
+    for (const Simplex& f : facets_) {
         const Simplex c = carrier_of(f);
         ensure(f.dimension() == c.dimension(),
                "subdivision exactness: facet " + f.to_string() +
@@ -390,7 +393,7 @@ void SubdividedComplex::verify_subdivision_exactness() const {
     }
     for (const Simplex& base_facet : base_.facets()) {
         Rational total;
-        for (const Simplex& f : complex_.facets()) {
+        for (const Simplex& f : facets_) {
             if (!carrier_of(f).is_face_of(base_facet)) continue;
             // Only full-dimensional pieces contribute volume.
             if (f.dimension() != base_facet.dimension()) continue;

@@ -72,6 +72,10 @@ public:
     const ChromaticComplex& base() const noexcept { return base_; }
     const ChromaticComplex& complex() const noexcept { return complex_; }
 
+    /// The facets of complex(), sorted and unique: the list the builder
+    /// closed into complex(), kept so readers need not recompute it.
+    const std::vector<Simplex>& facets() const noexcept { return facets_; }
+
     /// Number of subdivision steps applied since `identity` (0 for it).
     int depth() const noexcept { return depth_; }
 
@@ -132,6 +136,7 @@ public:
 private:
     ChromaticComplex base_;
     ChromaticComplex complex_;
+    std::vector<Simplex> facets_;               // complex_'s facets, sorted
     std::vector<BaryPoint> position_;           // indexed by VertexId
     std::vector<Provenance> provenance_;        // indexed by VertexId
     std::map<std::pair<VertexId, Simplex>, VertexId> vertex_index_;

@@ -7,8 +7,9 @@
 //   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 //
 // The budget (default 180 s, override with GACT_HEAVY_BUDGET_SECONDS)
-// is deliberately far above the measured time — ~4.6 s on the PR-6
-// single-core dev container, down from ~16 s at PR 4 via integer-scaled
+// is deliberately far above the measured time — ~1.4 s with
+// `GACT_RUN_HEAVY=1 ctest -L heavy` on a 4-core x86-64 Linux host
+// (RelWithDebInfo), down from ~16 s at PR 4 via integer-scaled
 // guidance distances, bulk complex construction, trusted chromatic
 // builders, and the restart/GC nogood lifecycle — so the gate catches
 // order-of-magnitude regressions, not host noise.

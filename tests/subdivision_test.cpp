@@ -151,6 +151,32 @@ TEST(Subdivision, TerminatedEdgeExample) {
     }
 }
 
+TEST(Subdivision, KeptFacetListMatchesComplexFacets) {
+    const ChromaticComplex s = ChromaticComplex::standard_simplex(2);
+    const SubdividedComplex id = SubdividedComplex::identity(s);
+    const SubdividedComplex chr = id.chromatic_subdivision();
+    SimplicialComplex non_pure = SimplicialComplex::from_facets(
+        {Simplex{0, 1, 2}, Simplex{2, 3}});
+    const ChromaticComplex dangling(std::move(non_pure),
+                                    {{0, 0}, {1, 1}, {2, 2}, {3, 0}});
+    const std::vector<SubdividedComplex> cases = {
+        id,
+        chr,
+        chr.chromatic_subdivision(),
+        // A terminated facet: the whole triangle survives.
+        id.chromatic_subdivision_with_termination(
+            [](const Simplex&) { return true; }),
+        // Only a lower face terminated: the edge {0, 1}.
+        id.chromatic_subdivision_with_termination(
+            [](const Simplex& t) { return t.is_face_of(Simplex{0, 1}); }),
+        id.barycentric_subdivision(),
+        SubdividedComplex::identity(dangling).chromatic_subdivision(),
+    };
+    for (const SubdividedComplex& cx : cases) {
+        EXPECT_EQ(cx.facets(), cx.complex().facets());
+    }
+}
+
 TEST(Subdivision, FullyTerminatedComplexUnchanged) {
     const ChromaticComplex s = ChromaticComplex::standard_simplex(2);
     const SubdividedComplex id = SubdividedComplex::identity(s);
