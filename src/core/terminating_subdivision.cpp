@@ -20,7 +20,7 @@ VertexId TerminatingSubdivision::global_id(
     const VertexId id = static_cast<VertexId>(global_position_.size());
     global_index_.emplace(key, id);
     global_position_.push_back(pos);
-    global_color_[id] = color;
+    stable_.color_vertex_trusted(id, color);
     return id;
 }
 
@@ -142,19 +142,8 @@ void TerminatingSubdivision::advance(
                 stable_since_.emplace(Simplex(face), stage);
             }
         }
-        stable_simplices_.add_simplex(std::move(global));
+        stable_.add_simplex_trusted(global);
     }
-    stable_stale_ = true;
-}
-
-const ChromaticComplex& TerminatingSubdivision::stable_complex() const {
-    if (stable_stale_) {
-        // Trusted: global simplices are color-preserving images of
-        // properly colored stage simplices, so the coloring stays proper.
-        stable_ = ChromaticComplex::trusted(stable_simplices_, global_color_);
-        stable_stale_ = false;
-    }
-    return stable_;
 }
 
 const SubdividedComplex& TerminatingSubdivision::complex_at(

@@ -67,9 +67,9 @@ public:
     const SubdividedComplex& complex_at(std::size_t k) const;
 
     /// K(T) so far: the union of stable simplices, in global vertex ids.
-    /// Rebuilt lazily after advance() stages (the chromatic wrapper is a
-    /// full copy of the stable set, too expensive to refresh per stage).
-    const ChromaticComplex& stable_complex() const;
+    const ChromaticComplex& stable_complex() const noexcept {
+        return stable_;
+    }
 
     /// Position in |base| of a global stable vertex.
     const BaryPoint& stable_position(VertexId global_vertex) const;
@@ -117,15 +117,12 @@ private:
     SubdividedComplex newest_;  // C_{stages()-1}
     std::size_t stages_ = 0;
 
-    // Global stable complex and geometry. stable_ mirrors
-    // stable_simplices_ + global_color_; advance() only marks it stale
-    // and stable_complex() refreshes it on demand.
-    mutable ChromaticComplex stable_;
-    mutable bool stable_stale_ = false;
+    // Global stable complex and geometry. advance() inserts straight into
+    // stable_ (trusted: global simplices are color-preserving images of
+    // properly colored stage simplices), so K(T) is held once.
+    ChromaticComplex stable_;
     std::map<std::pair<BaryPoint, Color>, VertexId> global_index_;
     std::vector<BaryPoint> global_position_;
-    std::unordered_map<VertexId, Color> global_color_;
-    SimplicialComplex stable_simplices_;
     std::unordered_map<Simplex, std::size_t, topo::SimplexSetHash,
                        topo::SimplexSetEq>
         stable_since_;

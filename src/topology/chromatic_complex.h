@@ -35,6 +35,12 @@ public:
     static ChromaticComplex trusted(SimplicialComplex complex,
                                     std::unordered_map<VertexId, Color> colors);
 
+    /// Trusted insertion for accumulating builders (the stable-complex
+    /// accumulator): color v, then add simplices with all their faces,
+    /// without validation. The caller vouches for a proper coloring.
+    void color_vertex_trusted(VertexId v, Color c) { colors_[v] = c; }
+    void add_simplex_trusted(const Simplex& s) { complex_.add_simplex(s); }
+
     /// The standard n-simplex s: vertices 0..n, vertex i colored i, with
     /// all faces present (paper, Section 3.2).
     static ChromaticComplex standard_simplex(int n);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace gact::core {
 namespace {
 
@@ -204,6 +206,35 @@ TEST(TerminatingSubdivision, ShardedAdvanceIsBitIdenticalToSequential) {
             EXPECT_EQ(seq.stable_complex().color(v),
                       par.stable_complex().color(v));
         }
+    }
+}
+
+TEST(TerminatingSubdivision, StableComplexReadBetweenAdvancesMatchesFinal) {
+    // K(T) is grown in place by advance(): reading it between advances
+    // must leave the same complex, coloring and iteration order as
+    // reading it only after the last advance. Every stage also keeps its
+    // facet list equal to the complex's facets.
+    const auto lt_rule = [](const SubdividedComplex& cx, const Simplex& s) {
+        if (cx.depth() < 2) return false;
+        for (VertexId v : s.vertices()) {
+            if (cx.carrier(v).dimension() < 1) return false;
+        }
+        return true;
+    };
+    for (unsigned threads : {1u, 4u}) {
+        TerminatingSubdivision read(topo::ChromaticComplex::standard_simplex(2));
+        TerminatingSubdivision last(topo::ChromaticComplex::standard_simplex(2));
+        for (int i = 0; i < 4; ++i) {
+            read.advance(lt_rule, threads);
+            last.advance(lt_rule, threads);
+            const SubdividedComplex& cx = read.complex_at(read.stages() - 1);
+            EXPECT_EQ(cx.facets(), cx.complex().facets()) << "stage " << i;
+            EXPECT_FALSE(read.stable_complex().is_empty() && i >= 2);
+        }
+        EXPECT_EQ(read.stable_complex(), last.stable_complex());
+        const auto& a = read.stable_complex().complex().simplices();
+        const auto& b = last.stable_complex().complex().simplices();
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
     }
 }
 
