@@ -135,7 +135,7 @@ bool image_constraint_holds(
     std::vector<VertexId> image;
     image.reserve(sigma.size());
     for (VertexId v : sigma.vertices()) image.push_back(assignment.at(v));
-    const Simplex img(std::move(image));
+    const Simplex img(image);
     if (!problem.codomain->contains(img)) return false;
     return problem.allowed(sigma).contains(img);
 }
@@ -869,7 +869,7 @@ struct FcSearcher {
                         continue;
                     }
                     image[u_slot] = c;
-                    const Simplex img{std::vector<VertexId>(image)};
+                    const Simplex img(image);
                     if (!problem.codomain->contains(img) ||
                         !allowed.contains(img)) {
                         prune(u_idx, i, sigma_ptr);

@@ -47,8 +47,9 @@ void TerminatingSubdivision::advance(
         std::unordered_map<VertexId, VertexId> vertex_image;
         std::vector<Simplex> images;
         images.reserve(sigma_.simplices().size());
+        std::vector<VertexId> verts;
         for (const Simplex& s : sigma_.simplices()) {
-            std::vector<VertexId> verts;
+            verts.clear();
             for (VertexId v : s.vertices()) {
                 const auto memo = vertex_image.find(v);
                 if (memo != vertex_image.end()) {
@@ -62,7 +63,7 @@ void TerminatingSubdivision::advance(
                 vertex_image.emplace(v, *nv);
                 verts.push_back(*nv);
             }
-            Simplex image{std::move(verts)};
+            Simplex image(verts);
             ensure(next.complex().contains(image),
                    "TerminatingSubdivision: stable simplex not preserved");
             images.push_back(std::move(image));
@@ -111,8 +112,10 @@ void TerminatingSubdivision::advance(
     // else in Sigma_k is either a face of one of them (covered by the
     // closure walk below) or the persisted image of a simplex that was
     // recorded — under the same position/color global ids — at an
-    // earlier stage, where stable_since_ already holds its first
-    // stabilization stage (emplace keeps the first stamp).
+    // earlier stage, and is already in K(T) with its stamp. K(T)'s
+    // closure walk inserts exactly the faces not yet in K(T), and K(T)
+    // and stable_since_ have the same keys, so stamping what the walk
+    // inserts stamps exactly the simplices stable for the first time.
     // global_id resolves through the exact-rational position index;
     // memoize per stage so each stage vertex pays for one probe however
     // many stable simplices share it.
@@ -124,25 +127,13 @@ void TerminatingSubdivision::advance(
         global_of.emplace(v, id);
         return id;
     };
-    std::vector<VertexId> face;
+    const std::function<void(const Simplex&)> stamp =
+        [&](const Simplex& t) { stable_since_.emplace(t, stage); };
+    std::vector<VertexId> verts;
     for (const Simplex* s : newly_stable) {
-        std::vector<VertexId> verts;
-        verts.reserve(s->size());
+        verts.clear();
         for (VertexId v : s->vertices()) verts.push_back(global_id_memo(v));
-        Simplex global(std::move(verts));
-        // Probe every face with a scratch vector; only a face not yet
-        // stamped gets a Simplex of its own.
-        const std::vector<VertexId>& gv = global.vertices();
-        for (std::uint32_t mask = 1; mask < (1u << gv.size()); ++mask) {
-            face.clear();
-            for (std::size_t i = 0; i < gv.size(); ++i) {
-                if (mask & (1u << i)) face.push_back(gv[i]);
-            }
-            if (stable_since_.find(face) == stable_since_.end()) {
-                stable_since_.emplace(Simplex(face), stage);
-            }
-        }
-        stable_.add_simplex_trusted(global);
+        stable_.add_simplex_trusted(Simplex(verts), stamp);
     }
 }
 

@@ -123,6 +123,9 @@ private:
     ChromaticComplex stable_;
     std::map<std::pair<BaryPoint, Color>, VertexId> global_index_;
     std::vector<BaryPoint> global_position_;
+    // The stage of every K(T) simplex's first stabilization. Same key set
+    // as stable_: advance() stamps each simplex that K(T)'s closure walk
+    // inserts, as it inserts it.
     std::unordered_map<Simplex, std::size_t, topo::SimplexSetHash,
                        topo::SimplexSetEq>
         stable_since_;

@@ -33,7 +33,7 @@ topo::VertexId view_vertex(SubdivisionChain& chain, const Run& run,
         seen.push_back(view_vertex(chain, run, q, k - 1, input_facet));
     }
     const topo::VertexId own = view_vertex(chain, run, p, k - 1, input_facet);
-    return chain.level(k).vertex_for(own, topo::Simplex(std::move(seen)));
+    return chain.level(k).vertex_for(own, topo::Simplex(seen));
 }
 
 topo::Simplex run_simplex(SubdivisionChain& chain, const Run& run,
@@ -44,7 +44,7 @@ topo::Simplex run_simplex(SubdivisionChain& chain, const Run& run,
     for (ProcessId p : procs.members()) {
         verts.push_back(view_vertex(chain, run, p, k, input_facet));
     }
-    const topo::Simplex out{std::move(verts)};
+    const topo::Simplex out(verts);
     ensure(chain.level(k).complex().contains(out),
            "run_simplex: views do not span a simplex of Chr^k");
     return out;

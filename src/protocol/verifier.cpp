@@ -95,7 +95,7 @@ SolvabilityReport verify_inputless(const tasks::Task& task,
         const std::vector<std::optional<topo::VertexId>> inputs(
             run.num_processes());
         check_run(task, protocol, run, horizon, arena, inputs,
-                  task.delta.at(topo::Simplex{std::move(part_verts)}),
+                  task.delta.at(topo::Simplex(part_verts)),
                   "run " + run.to_string(), report);
     }
     report.solved = report.violations.empty();
@@ -124,7 +124,7 @@ SolvabilityReport verify_task(const tasks::Task& task,
                 face.push_back(*inputs[p]);
             }
             check_run(task, protocol, run, horizon, arena, inputs,
-                      task.delta.at(topo::Simplex{std::move(face)}),
+                      task.delta.at(topo::Simplex(face)),
                       "omega " + omega.to_string() + " run " + run.to_string(),
                       report);
         }

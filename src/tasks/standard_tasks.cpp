@@ -174,7 +174,7 @@ Task k_set_agreement_task(std::uint32_t num_processes, std::uint32_t k,
             distinct.erase(std::unique(distinct.begin(), distinct.end()),
                            distinct.end());
             if (distinct.size() <= k) {
-                image.add_simplex(Simplex(std::move(verts)));
+                image.add_simplex(Simplex(verts));
             }
             std::size_t i = 0;
             while (i < choice.size() && ++choice[i] == allowed.size()) {

@@ -39,7 +39,13 @@ public:
     /// accumulator): color v, then add simplices with all their faces,
     /// without validation. The caller vouches for a proper coloring.
     void color_vertex_trusted(VertexId v, Color c) { colors_[v] = c; }
-    void add_simplex_trusted(const Simplex& s) { complex_.add_simplex(s); }
+    /// `on_insert` sees each simplex actually inserted (see
+    /// SimplicialComplex::add_simplex).
+    void add_simplex_trusted(
+        const Simplex& s,
+        const std::function<void(const Simplex&)>& on_insert) {
+        complex_.add_simplex(s, on_insert);
+    }
 
     /// The standard n-simplex s: vertices 0..n, vertex i colored i, with
     /// all faces present (paper, Section 3.2).

@@ -101,7 +101,7 @@ Simplex BaryPoint::support() const {
     std::vector<VertexId> verts;
     verts.reserve(coords_.size());
     for (const auto& [v, w] : coords_) verts.push_back(v);
-    return Simplex(std::move(verts));
+    return Simplex(verts);
 }
 
 Rational BaryPoint::l1_distance(const BaryPoint& other) const {
@@ -242,7 +242,7 @@ Rational relative_volume(const std::vector<BaryPoint>& vertices,
                          const Simplex& base) {
     require(vertices.size() == base.size(),
             "relative_volume: vertex count must match base simplex");
-    const std::vector<VertexId>& cols = base.vertices();
+    const std::span<const VertexId> cols = base.vertices();
     const std::size_t k = vertices.size();
     // Matrix of barycentric coordinates; determinant = signed volume ratio.
     std::vector<std::vector<Rational>> m(k, std::vector<Rational>(k));

@@ -1,95 +1,111 @@
 #include "topology/simplex.h"
 
-#include <algorithm>
 #include <ostream>
 
 namespace gact::topo {
 
-namespace {
-
-std::vector<VertexId> sorted_unique(std::vector<VertexId> v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    return v;
-}
-
-}  // namespace
+static_assert(sizeof(Simplex) <= 24,
+              "Simplex should stay no larger than a std::vector");
 
 Simplex::Simplex(std::initializer_list<VertexId> vertices)
-    : vertices_(sorted_unique(std::vector<VertexId>(vertices))) {}
+    : Simplex(std::span<const VertexId>(vertices.begin(), vertices.size())) {}
 
-Simplex::Simplex(std::vector<VertexId> vertices)
-    : vertices_(sorted_unique(std::move(vertices))) {}
+Simplex::Simplex(std::span<const VertexId> vertices) {
+    VertexId* out = reset(vertices.size());
+    std::copy(vertices.begin(), vertices.end(), out);
+    std::sort(out, out + size_);
+    truncate(static_cast<std::size_t>(std::unique(out, out + size_) - out));
+}
+
+void Simplex::truncate(std::size_t n) noexcept {
+    if (on_heap() && n <= kInline) {
+        VertexId* heap = heap_;
+        std::copy_n(heap, n, inline_);
+        delete[] heap;
+    }
+    size_ = static_cast<std::uint32_t>(n);
+}
 
 bool Simplex::contains(VertexId v) const noexcept {
-    return std::binary_search(vertices_.begin(), vertices_.end(), v);
+    const auto vs = vertices();
+    return std::binary_search(vs.begin(), vs.end(), v);
 }
 
 bool Simplex::is_face_of(const Simplex& other) const noexcept {
-    return std::includes(other.vertices_.begin(), other.vertices_.end(),
-                         vertices_.begin(), vertices_.end());
+    const auto mine = vertices();
+    const auto theirs = other.vertices();
+    return std::includes(theirs.begin(), theirs.end(), mine.begin(),
+                         mine.end());
 }
 
 Simplex Simplex::union_with(const Simplex& other) const {
-    std::vector<VertexId> out;
-    out.reserve(vertices_.size() + other.vertices_.size());
-    std::set_union(vertices_.begin(), vertices_.end(), other.vertices_.begin(),
-                   other.vertices_.end(), std::back_inserter(out));
+    const auto a = vertices();
+    const auto b = other.vertices();
     Simplex s;
-    s.vertices_ = std::move(out);
+    VertexId* out = s.reset(a.size() + b.size());
+    VertexId* end =
+        std::set_union(a.begin(), a.end(), b.begin(), b.end(), out);
+    s.truncate(static_cast<std::size_t>(end - out));
     return s;
 }
 
 Simplex Simplex::intersection_with(const Simplex& other) const {
-    std::vector<VertexId> out;
-    std::set_intersection(vertices_.begin(), vertices_.end(),
-                          other.vertices_.begin(), other.vertices_.end(),
-                          std::back_inserter(out));
+    const auto a = vertices();
+    const auto b = other.vertices();
     Simplex s;
-    s.vertices_ = std::move(out);
+    VertexId* out = s.reset(std::min(a.size(), b.size()));
+    VertexId* end =
+        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), out);
+    s.truncate(static_cast<std::size_t>(end - out));
     return s;
 }
 
 Simplex Simplex::difference(const Simplex& other) const {
-    std::vector<VertexId> out;
-    std::set_difference(vertices_.begin(), vertices_.end(),
-                        other.vertices_.begin(), other.vertices_.end(),
-                        std::back_inserter(out));
+    const auto a = vertices();
+    const auto b = other.vertices();
     Simplex s;
-    s.vertices_ = std::move(out);
+    VertexId* out = s.reset(a.size());
+    VertexId* end =
+        std::set_difference(a.begin(), a.end(), b.begin(), b.end(), out);
+    s.truncate(static_cast<std::size_t>(end - out));
     return s;
 }
 
 Simplex Simplex::with(VertexId v) const {
     if (contains(v)) return *this;
-    std::vector<VertexId> out = vertices_;
-    out.insert(std::upper_bound(out.begin(), out.end(), v), v);
+    const auto a = vertices();
+    const auto pos = std::upper_bound(a.begin(), a.end(), v);
     Simplex s;
-    s.vertices_ = std::move(out);
+    VertexId* out = s.reset(a.size() + 1);
+    out = std::copy(a.begin(), pos, out);
+    *out++ = v;
+    std::copy(pos, a.end(), out);
     return s;
 }
 
 Simplex Simplex::without(VertexId v) const {
+    const auto a = vertices();
     Simplex s;
-    s.vertices_.reserve(vertices_.size());
-    for (VertexId u : vertices_) {
-        if (u != v) s.vertices_.push_back(u);
-    }
+    VertexId* out = s.reset(a.size());
+    VertexId* end = std::remove_copy(a.begin(), a.end(), out, v);
+    s.truncate(static_cast<std::size_t>(end - out));
     return s;
 }
 
 std::vector<Simplex> Simplex::faces() const {
     std::vector<Simplex> out;
-    const std::size_t n = vertices_.size();
+    const std::size_t n = size_;
     require(n <= 24, "Simplex::faces: simplex too large to enumerate faces");
     const std::size_t total = (std::size_t{1} << n) - 1;
     out.reserve(total);
+    const VertexId* v = data();
+    VertexId face[24];
     for (std::size_t mask = 1; mask <= total; ++mask) {
-        Simplex face;
+        std::size_t k = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (mask & (std::size_t{1} << i)) face.vertices_.push_back(vertices_[i]);
+            if (mask & (std::size_t{1} << i)) face[k++] = v[i];
         }
-        out.push_back(std::move(face));
+        out.push_back(sorted_copy({face, k}));
     }
     return out;
 }
@@ -99,14 +115,14 @@ std::vector<Simplex> Simplex::faces_of_dimension(int d) const {
     if (d < 0 || d > dimension()) return out;
     // Enumerate (d+1)-subsets with the standard combination walk.
     const std::size_t k = static_cast<std::size_t>(d) + 1;
-    const std::size_t n = vertices_.size();
+    const std::size_t n = size_;
+    const VertexId* v = data();
     std::vector<std::size_t> idx(k);
+    std::vector<VertexId> face(k);
     for (std::size_t i = 0; i < k; ++i) idx[i] = i;
     while (true) {
-        Simplex face;
-        face.vertices_.reserve(k);
-        for (std::size_t i : idx) face.vertices_.push_back(vertices_[i]);
-        out.push_back(std::move(face));
+        for (std::size_t i = 0; i < k; ++i) face[i] = v[idx[i]];
+        out.push_back(sorted_copy(face));
         // Advance the combination.
         std::size_t i = k;
         while (i > 0 && idx[i - 1] == n - k + i - 1) --i;
@@ -119,13 +135,14 @@ std::vector<Simplex> Simplex::faces_of_dimension(int d) const {
 
 std::vector<Simplex> Simplex::boundary_faces() const {
     std::vector<Simplex> out;
-    out.reserve(vertices_.size());
-    for (std::size_t i = 0; i < vertices_.size(); ++i) {
+    const std::size_t n = size_;
+    out.reserve(n);
+    const VertexId* v = data();
+    for (std::size_t i = 0; i < n; ++i) {
         Simplex face;
-        face.vertices_.reserve(vertices_.size() - 1);
-        for (std::size_t j = 0; j < vertices_.size(); ++j) {
-            if (j != i) face.vertices_.push_back(vertices_[j]);
-        }
+        VertexId* f = face.reset(n - 1);
+        f = std::copy(v, v + i, f);
+        std::copy(v + i + 1, v + n, f);
         out.push_back(std::move(face));
     }
     return out;
@@ -133,9 +150,10 @@ std::vector<Simplex> Simplex::boundary_faces() const {
 
 std::string Simplex::to_string() const {
     std::string out = "[";
-    for (std::size_t i = 0; i < vertices_.size(); ++i) {
+    const auto vs = vertices();
+    for (std::size_t i = 0; i < vs.size(); ++i) {
         if (i > 0) out += " ";
-        out += std::to_string(vertices_[i]);
+        out += std::to_string(vs[i]);
     }
     out += "]";
     return out;

@@ -30,7 +30,7 @@ SimplicialComplex SimplicialComplex::from_facets(
     }
     keys.reserve(subset_count);
     for (const Simplex& f : facets) {
-        const std::vector<VertexId>& fv = f.vertices();
+        const std::span<const VertexId> fv = f.vertices();
         const std::size_t n = fv.size();
         bool small = n >= 1 && n <= 4;
         if (small) {
@@ -61,13 +61,14 @@ SimplicialComplex SimplicialComplex::from_facets(
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     c.simplices_.reserve(keys.size() + big.size() * 4);
     for (const Key& key : keys) {
-        std::vector<VertexId> verts;
-        verts.reserve(4);
+        // The slots hold a subset of a sorted facet, in order.
+        VertexId verts[4];
+        std::size_t n = 0;
         for (std::uint64_t p : {key.first >> 32, key.first & 0xffffffffu,
                                 key.second >> 32, key.second & 0xffffffffu}) {
-            if (p != 0) verts.push_back(static_cast<VertexId>(p - 1));
+            if (p != 0) verts[n++] = static_cast<VertexId>(p - 1);
         }
-        c.simplices_.insert(Simplex(std::move(verts)));
+        c.insert_one(Simplex::from_sorted({verts, n}));
     }
     for (const Simplex* f : big) c.add_simplex(*f);
     return c;
@@ -80,18 +81,29 @@ SimplicialComplex SimplicialComplex::from_closed(
     for (Simplex& s : simplices) {
         require(!s.empty(),
                 "SimplicialComplex: cannot add the empty simplex");
-        c.simplices_.insert(std::move(s));
+        c.insert_one(std::move(s));
     }
     return c;
 }
 
-void SimplicialComplex::add_simplex(const Simplex& s) {
-    require(!s.empty(), "SimplicialComplex: cannot add the empty simplex");
-    if (contains(s)) return;
-    insert_closure(Simplex(s));
+std::pair<SimplexSet::iterator, bool> SimplicialComplex::insert_one(
+    Simplex&& s) {
+    auto result = simplices_.insert(std::move(s));
+    if (result.second && result.first->size() == 1) {
+        vertices_.push_back(result.first->vertices()[0]);
+    }
+    return result;
 }
 
-void SimplicialComplex::insert_closure(Simplex&& s) {
+void SimplicialComplex::add_simplex(
+    const Simplex& s, const std::function<void(const Simplex&)>& on_insert) {
+    require(!s.empty(), "SimplicialComplex: cannot add the empty simplex");
+    if (contains(s)) return;
+    insert_closure(s, on_insert);
+}
+
+void SimplicialComplex::insert_closure(
+    const Simplex& s, const std::function<void(const Simplex&)>& on_insert) {
     // Walk the boundary instead of materializing all 2^n - 1 faces up
     // front: a face that is already present has its own closure present
     // (the set is downward closed by construction), so the walk stops at
@@ -99,9 +111,9 @@ void SimplicialComplex::insert_closure(Simplex&& s) {
     // of their face lattice, which the all-faces version re-built and
     // re-hashed every time; the missing faces are probed through the
     // transparent hash with a reused scratch buffer, so only simplices
-    // actually inserted allocate.
+    // actually inserted are built.
     std::vector<Simplex> stack;
-    stack.push_back(std::move(s));
+    stack.push_back(s);
     std::vector<VertexId> scratch;
     while (!stack.empty()) {
         Simplex top = std::move(stack.back());
@@ -109,19 +121,21 @@ void SimplicialComplex::insert_closure(Simplex&& s) {
         // The same missing face can be stacked by several of its
         // cofaces before it lands in the set; later copies are no-ops.
         if (contains(top)) continue;
-        const std::vector<VertexId>& tv = top.vertices();
+        const std::span<const VertexId> tv = top.vertices();
         if (tv.size() > 1) {
             // scratch = tv with a hole, walked from position 0 to n-1.
             scratch.assign(tv.begin() + 1, tv.end());
             for (std::size_t i = 0;; ++i) {
-                if (simplices_.find(scratch) == simplices_.end()) {
-                    stack.emplace_back(std::vector<VertexId>(scratch));
+                if (simplices_.find(std::span<const VertexId>(scratch)) ==
+                    simplices_.end()) {
+                    stack.push_back(Simplex::from_sorted(scratch));
                 }
                 if (i + 1 == tv.size()) break;
                 scratch[i] = tv[i];
             }
         }
-        simplices_.insert(std::move(top));
+        const auto inserted = insert_one(std::move(top));
+        if (on_insert) on_insert(*inserted.first);
     }
 }
 
@@ -154,10 +168,7 @@ std::vector<Simplex> SimplicialComplex::facets() const {
 }
 
 std::vector<VertexId> SimplicialComplex::vertex_ids() const {
-    std::vector<VertexId> out;
-    for (const Simplex& s : simplices_) {
-        if (s.dimension() == 0) out.push_back(s.vertices()[0]);
-    }
+    std::vector<VertexId> out = vertices_;
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -181,7 +192,7 @@ bool SimplicialComplex::is_pure(int n) const {
 SimplicialComplex SimplicialComplex::skeleton(int k) const {
     SimplicialComplex out;
     for (const Simplex& s : simplices_) {
-        if (s.dimension() <= k) out.simplices_.insert(s);
+        if (s.dimension() <= k) out.insert_one(Simplex(s));
     }
     return out;
 }
@@ -205,7 +216,7 @@ SimplicialComplex SimplicialComplex::link(const Simplex& s) const {
     SimplicialComplex out;
     for (const Simplex& t : simplices_) {
         if (t.intersection_with(s).empty() && contains(t.union_with(s))) {
-            out.simplices_.insert(t);
+            out.insert_one(Simplex(t));
         }
     }
     return out;

@@ -5,6 +5,9 @@
 // open and closed stars, links, and connectivity of the 1-skeleton.
 #pragma once
 
+#include <algorithm>
+#include <functional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -12,15 +15,15 @@
 
 namespace gact::topo {
 
-/// Transparent hash/equality for sets of simplices: lets the closure
-/// builder probe with a raw sorted vertex vector, constructing a Simplex
-/// (and allocating) only when the probe misses and an insert follows.
+/// Transparent hash/equality for sets of simplices: lets callers probe
+/// with a sorted vertex span (a scratch buffer, say) instead of building
+/// a Simplex first. The span hash equals std::hash<Simplex>.
 struct SimplexSetHash {
     using is_transparent = void;
     std::size_t operator()(const Simplex& s) const noexcept {
         return gact::hash_range(s.vertices());
     }
-    std::size_t operator()(const std::vector<VertexId>& v) const noexcept {
+    std::size_t operator()(std::span<const VertexId> v) const noexcept {
         return gact::hash_range(v);
     }
 };
@@ -29,13 +32,13 @@ struct SimplexSetEq {
     bool operator()(const Simplex& a, const Simplex& b) const noexcept {
         return a == b;
     }
-    bool operator()(const std::vector<VertexId>& a, const Simplex& b) const
+    bool operator()(std::span<const VertexId> a, const Simplex& b) const
         noexcept {
-        return a == b.vertices();
+        return std::ranges::equal(a, b.vertices());
     }
-    bool operator()(const Simplex& a, const std::vector<VertexId>& b) const
+    bool operator()(const Simplex& a, std::span<const VertexId> b) const
         noexcept {
-        return a.vertices() == b;
+        return std::ranges::equal(a.vertices(), b);
     }
 };
 using SimplexSet = std::unordered_set<Simplex, SimplexSetHash, SimplexSetEq>;
@@ -55,8 +58,12 @@ public:
     /// under a vertex map.
     static SimplicialComplex from_closed(std::vector<Simplex> simplices);
 
-    /// Insert a simplex together with all its faces.
-    void add_simplex(const Simplex& s);
+    /// Insert a simplex together with all its faces. `on_insert`, when
+    /// set, is called once for each simplex actually inserted (the part
+    /// of the closure not yet present), in insertion order.
+    void add_simplex(
+        const Simplex& s,
+        const std::function<void(const Simplex&)>& on_insert = {});
 
     bool contains(const Simplex& s) const { return simplices_.count(s) != 0; }
     bool contains_vertex(VertexId v) const { return contains(Simplex{v}); }
@@ -75,7 +82,8 @@ public:
     /// The maximal simplices, sorted for determinism.
     std::vector<Simplex> facets() const;
 
-    /// Vertex ids present in the complex, sorted.
+    /// Vertex ids present in the complex, sorted. Reads the vertex list
+    /// kept as simplices are inserted; no walk over the simplices.
     std::vector<VertexId> vertex_ids() const;
 
     /// Largest simplex dimension; -1 for the empty complex.
@@ -121,10 +129,20 @@ public:
 
 private:
     /// Insert `s` (known absent) and whatever part of its face closure
-    /// is missing, consuming the simplices instead of copying them.
-    void insert_closure(Simplex&& s);
+    /// is missing, reporting each inserted simplex to `on_insert` when
+    /// it is set.
+    void insert_closure(const Simplex& s,
+                        const std::function<void(const Simplex&)>& on_insert);
+
+    /// Insert `s` if absent, recording a new 0-simplex in vertices_.
+    /// Returns the element and whether it was inserted.
+    std::pair<SimplexSet::iterator, bool> insert_one(Simplex&& s);
 
     SimplexSet simplices_;
+    /// The ids of the 0-simplices, in insertion order: every insertion
+    /// path appends here, so vertex_ids() never walks simplices_ (the
+    /// complexes are read concurrently, so this is not a lazy cache).
+    std::vector<VertexId> vertices_;
 };
 
 }  // namespace gact::topo

@@ -14,7 +14,7 @@ Simplex SimplicialMap::apply(const Simplex& s) const {
     std::vector<VertexId> image;
     image.reserve(s.size());
     for (VertexId v : s.vertices()) image.push_back(apply(v));
-    return Simplex(std::move(image));
+    return Simplex(image);
 }
 
 BaryPoint SimplicialMap::apply(const BaryPoint& p) const {

@@ -93,7 +93,7 @@ SubdividedComplex SubdividedComplex::chromatic_subdivision_with_termination(
     std::vector<ParentKeys> generated(parents.size());
     exec::for_index(exec::Scheduler::shared(), parents.size(), num_threads,
                     [&](std::size_t pi) {
-        const std::vector<VertexId>& pv = parents[pi].vertices();
+        const std::span<const VertexId> pv = parents[pi].vertices();
         const std::size_t n = pv.size();
         const std::vector<std::vector<KeyRef>>& parts = pairs_by_size.at(n);
         ParentKeys& pk = generated[pi];
@@ -134,7 +134,7 @@ SubdividedComplex SubdividedComplex::chromatic_subdivision_with_termination(
                     }
                     slot = static_cast<std::int32_t>(pk.table.size());
                     pk.table.push_back(canonical_key(
-                        pv[ref.first], Simplex{std::move(tau)}));
+                        pv[ref.first], Simplex(tau)));
                 }
                 tuple.push_back(static_cast<std::uint32_t>(slot));
             }
@@ -266,7 +266,7 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
     for (const Simplex& f : facets_) {
         // Enumerate flags ending at f: permutations of f's vertices define
         // maximal flags; build them from vertex orderings.
-        const std::vector<VertexId>& pv = f.vertices();
+        const std::span<const VertexId> pv = f.vertices();
         for (const std::vector<std::size_t>& perm : all_permutations(pv.size())) {
             std::vector<VertexId> verts;
             Simplex prefix;
@@ -356,7 +356,7 @@ Simplex SubdividedComplex::facet_for_partition(
     }
     require(covered == parent_facet.size(),
             "facet_for_partition: blocks must partition the facet");
-    return Simplex(std::move(verts));
+    return Simplex(verts);
 }
 
 SimplicialMap SubdividedComplex::retraction_to_parent(

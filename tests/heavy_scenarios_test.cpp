@@ -7,12 +7,13 @@
 //   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 //
 // The budget (default 180 s, override with GACT_HEAVY_BUDGET_SECONDS)
-// is deliberately far above the measured time — ~1.4 s with
-// `GACT_RUN_HEAVY=1 ctest -L heavy` on a 4-core x86-64 Linux host
-// (RelWithDebInfo), down from ~16 s at PR 4 via integer-scaled
-// guidance distances, bulk complex construction, trusted chromatic
-// builders, and the restart/GC nogood lifecycle — so the gate catches
-// order-of-magnitude regressions, not host noise.
+// is deliberately far above the measured time — the timed solve takes
+// 1.2–1.5 s (three runs of `GACT_RUN_HEAVY=1 ./heavy_scenarios_test`
+// on a 4-core x86-64 Linux host, RelWithDebInfo), down from ~16 s
+// before integer-scaled guidance distances, bulk complex construction,
+// trusted chromatic builders, the restart/GC nogood lifecycle and
+// inline simplices — so the gate catches order-of-magnitude
+// regressions, not host noise.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -21,6 +22,7 @@
 
 #include "engine/engine.h"
 #include "engine/scenario_registry.h"
+#include "kt_digest.h"
 
 namespace gact::engine {
 namespace {
@@ -60,6 +62,22 @@ TEST(HeavyScenarios, ShardedLt32Res2StaysUnderTheWallClockBudget) {
     EXPECT_LT(elapsed, budget_seconds)
         << "sharded lt-3-2-res2 took " << elapsed
         << " s; budget " << budget_seconds << " s — " << report.summary();
+}
+
+TEST(HeavyScenarios, Lt32Res2StableComplexGolden) {
+    // K(T) of lt-3-2-res2 in iteration order (see kt_digest.h); the
+    // tier-1 lt-2-1-res1 golden is in terminating_subdivision_test.
+    const char* run = std::getenv("GACT_RUN_HEAVY");
+    if (run == nullptr || std::string(run) == "0") {
+        GTEST_SKIP() << "set GACT_RUN_HEAVY=1 to run the heavy gate";
+    }
+    const auto scenario = ScenarioRegistry::standard().find("lt-3-2-res2");
+    ASSERT_TRUE(scenario.has_value());
+    const core::TerminatingSubdivision tsub =
+        test_support::scenario_tsub(*scenario);
+    EXPECT_EQ(tsub.stable_complex().complex().size(), 148407u);
+    EXPECT_EQ(test_support::kt_digest_hex(tsub), "8e3560355b7c413c")
+        << "K(T) changed — re-pin only deliberately";
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 namespace gact::topo {
 namespace {
@@ -125,6 +127,78 @@ TEST(SimplicialComplex, VertexIds) {
     SimplicialComplex c = SimplicialComplex::from_facets({Simplex{7, 3}});
     const std::vector<VertexId> expected = {3, 7};
     EXPECT_EQ(c.vertex_ids(), expected);
+}
+
+// vertex_ids() reads a list kept on insertion; the reference walks every
+// simplex for the 0-simplices.
+std::vector<VertexId> walked_vertex_ids(const SimplicialComplex& c) {
+    std::vector<VertexId> out;
+    for (const Simplex& s : c.simplices()) {
+        if (s.size() == 1) out.push_back(s.vertices()[0]);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(SimplicialComplex, VertexIdsMatchAFullWalkOnEveryInsertionPath) {
+    // from_facets: the bulk path (<= 4 vertices) and the closure-walk
+    // fallback (> 4 vertices) in one complex.
+    SimplicialComplex c = SimplicialComplex::from_facets(
+        {Simplex{0, 1, 2}, Simplex{2, 3, 4, 5, 6}, Simplex{7},
+         Simplex{1, 8, 9, 10}});
+    EXPECT_EQ(c.vertex_ids(), walked_vertex_ids(c));
+    EXPECT_EQ(c.vertex_ids().size(), 11u);
+
+    // from_closed, with duplicates in the list.
+    const SimplicialComplex closed = SimplicialComplex::from_closed(
+        {Simplex{3}, Simplex{5}, Simplex{3, 5}, Simplex{3}, Simplex{5}});
+    EXPECT_EQ(closed.vertex_ids(), walked_vertex_ids(closed));
+    EXPECT_EQ(closed.vertex_ids(), (std::vector<VertexId>{3, 5}));
+
+    // add_simplex (closure walk), both overloads.
+    c.add_simplex(Simplex{10, 11, 12});
+    EXPECT_EQ(c.vertex_ids(), walked_vertex_ids(c));
+    c.add_simplex(Simplex{12, 13, 14, 15, 16, 17},
+                  [](const Simplex&) {});
+    EXPECT_EQ(c.vertex_ids(), walked_vertex_ids(c));
+    c.add_simplex(Simplex{0, 1});  // already present: no new vertex
+    EXPECT_EQ(c.vertex_ids(), walked_vertex_ids(c));
+
+    for (int k = -1; k <= 5; ++k) {
+        const SimplicialComplex sk = c.skeleton(k);
+        EXPECT_EQ(sk.vertex_ids(), walked_vertex_ids(sk)) << k;
+    }
+    for (const Simplex& s : {Simplex{2}, Simplex{12}, Simplex{2, 3},
+                             Simplex{99}}) {
+        const SimplicialComplex link = c.link(s);
+        EXPECT_EQ(link.vertex_ids(), walked_vertex_ids(link)) << s;
+        const SimplicialComplex star = c.closed_star(s);
+        EXPECT_EQ(star.vertex_ids(), walked_vertex_ids(star)) << s;
+    }
+    const SimplicialComplex copy = c;
+    EXPECT_EQ(copy.vertex_ids(), walked_vertex_ids(c));
+}
+
+TEST(SimplicialComplex, AddSimplexReportsExactlyWhatItInserts) {
+    SimplicialComplex c = hollow_triangle();
+    std::vector<Simplex> reported;
+    c.add_simplex(Simplex{0, 1, 2, 3},
+                  [&](const Simplex& s) { reported.push_back(s); });
+    // The hollow triangle had its 6 simplices; the tetrahedron adds the
+    // other 9 of its 15 faces, each reported once.
+    EXPECT_EQ(reported.size(), 9u);
+    EXPECT_EQ(c.size(), 15u);
+    std::sort(reported.begin(), reported.end());
+    EXPECT_TRUE(std::adjacent_find(reported.begin(), reported.end()) ==
+                reported.end());
+    for (const Simplex& s : reported) {
+        EXPECT_TRUE(c.contains(s));
+        EXPECT_FALSE(hollow_triangle().contains(s)) << s;
+    }
+    reported.clear();
+    c.add_simplex(Simplex{1, 2},
+                  [&](const Simplex& s) { reported.push_back(s); });
+    EXPECT_TRUE(reported.empty());
 }
 
 TEST(SimplicialComplex, EmptyComplex) {

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 
+#include "engine/scenario_registry.h"
+#include "kt_digest.h"
+
 namespace gact::core {
 namespace {
 
@@ -256,6 +259,20 @@ TEST(TerminatingSubdivision, ShardedPlainSubdivisionMatchesSequential) {
         EXPECT_EQ(seq.provenance(v).parent_simplex,
                   par.provenance(v).parent_simplex);
     }
+}
+
+TEST(TerminatingSubdivision, Lt21Res1StableComplexGolden) {
+    // K(T) of the registry's lt-2-1-res1 in iteration order: global ids,
+    // colors, exact positions and stable_since per simplex (see
+    // kt_digest.h). The lt-3-2-res2 golden is in heavy_scenarios_test.
+    const auto scenario =
+        engine::ScenarioRegistry::standard().find("lt-2-1-res1");
+    ASSERT_TRUE(scenario.has_value());
+    const TerminatingSubdivision tsub =
+        test_support::scenario_tsub(*scenario);
+    EXPECT_EQ(tsub.stable_complex().complex().size(), 1189u);
+    EXPECT_EQ(test_support::kt_digest_hex(tsub), "98b802adfb0ca115")
+        << "K(T) changed — re-pin only deliberately";
 }
 
 }  // namespace
