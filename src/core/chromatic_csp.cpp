@@ -13,6 +13,8 @@
 #include "core/eval_cache.h"
 #include "core/nogood_store.h"
 #include "exec/cancel.h"
+#include "exec/for_index.h"
+#include "exec/scheduler.h"
 #include "exec/task_group.h"
 #include "topology/adjacency_index.h"
 #include "util/require.h"
@@ -64,6 +66,21 @@ bool has_vertex(const std::vector<char>& flags, VertexId w) {
     return w < flags.size() && flags[w] != 0;
 }
 
+/// Runs `fn(i)` for every i in [0, n) on the shared scheduler at its
+/// full width: the set-up's per-vertex work. Inline when the pool has
+/// one worker; nested inside a solve_batch worker it forks onto the
+/// same pool.
+template <typename Fn>
+void for_each_vertex(std::size_t n, Fn&& fn) {
+    exec::Scheduler& scheduler = exec::Scheduler::shared();
+    exec::for_index(scheduler, n, scheduler.worker_count(),
+                    std::forward<Fn>(fn));
+}
+
+bool is_cancelled(const exec::CancelToken* cancel) {
+    return cancel != nullptr && cancel->cancelled();
+}
+
 /// Initial candidate lists for every domain vertex, computed once per
 /// solve: the candidate_order closures can be expensive (exact rational
 /// geometry in the L_t pipeline), and portfolio threads all start from
@@ -72,55 +89,68 @@ using DomainMap = std::unordered_map<VertexId, std::vector<VertexId>>;
 
 /// Each vertex's candidates — the fixed value, or the caller's candidate
 /// order, or all color-matching codomain vertices in id order — filtered
-/// by the vertex's own constraint complex. The filter reads dense vertex
-/// flags: one table for the codomain and one per distinct allowed()
-/// complex, keyed by the returned reference (stable for the whole solve
-/// by the problem contract). Candidate values must be vertices of the
-/// codomain: the naive engine would reject strays through the 0-simplex
-/// constraints, but the FC engine's adjacency index only carries
-/// dimension >= 1, so filter here for both. Polls `cancel` once per
-/// vertex; nullopt when it fired.
+/// by the vertex's own constraint complex. One sharded pass writes each
+/// vertex's candidate list and allowed() reference into its own slot;
+/// then, serially, the filter reads dense vertex flags: one table for
+/// the codomain and one per distinct allowed() complex, keyed by the
+/// returned reference (stable for the whole solve by the problem
+/// contract). Candidate values must be vertices of the codomain: the
+/// naive engine would reject strays through the 0-simplex constraints,
+/// but the FC engine's adjacency index only carries dimension >= 1, so
+/// filter here for both. Polls `cancel` once per vertex (before its
+/// candidate_order call) and once after the pass; nullopt when it
+/// fired.
 std::optional<DomainMap> all_initial_domains(
     const ChromaticMapProblem& problem, const std::vector<VertexId>& vertices,
     const exec::CancelToken* cancel) {
+    // Color-matching codomain vertices in id order, for vertices with
+    // neither a fixed value nor a candidate order (every fixed vertex is
+    // a domain vertex, so some vertex is free iff fewer are fixed).
+    std::map<topo::Color, std::vector<VertexId>> by_color;
+    if (!problem.candidate_order && problem.fixed.size() < vertices.size()) {
+        for (VertexId w : problem.codomain->vertex_ids()) {
+            by_color[problem.codomain->color(w)].push_back(w);
+        }
+    }
+    std::vector<std::vector<VertexId>> candidates(vertices.size());
+    std::vector<const SimplicialComplex*> allowed(vertices.size(), nullptr);
+    for_each_vertex(vertices.size(), [&](std::size_t i) {
+        if (is_cancelled(cancel)) return;
+        const VertexId v = vertices[i];
+        const auto fit = problem.fixed.find(v);
+        if (fit != problem.fixed.end()) {
+            candidates[i] = {fit->second};
+        } else if (problem.candidate_order) {
+            candidates[i] = problem.candidate_order(v);
+        } else {
+            const auto it = by_color.find(problem.domain->color(v));
+            if (it != by_color.end()) candidates[i] = it->second;
+        }
+        allowed[i] = &problem.allowed(Simplex{v});
+    });
+    if (is_cancelled(cancel)) return std::nullopt;
+
     const std::vector<char> in_codomain =
         vertex_flags(problem.codomain->complex());
     std::unordered_map<const SimplicialComplex*, std::vector<char>> in_allowed;
-    // Color-matching codomain vertices in id order, for vertices with
-    // neither a fixed value nor a candidate order; built on first use.
-    std::optional<std::map<topo::Color, std::vector<VertexId>>> by_color;
     DomainMap domains;
     domains.reserve(vertices.size());
-    for (VertexId v : vertices) {
-        if (cancel != nullptr && cancel->cancelled()) return std::nullopt;
-        std::vector<VertexId> candidates;
-        const auto fit = problem.fixed.find(v);
-        if (fit != problem.fixed.end()) {
-            candidates = {fit->second};
-        } else if (problem.candidate_order) {
-            candidates = problem.candidate_order(v);
-        } else {
-            if (!by_color.has_value()) {
-                by_color.emplace();
-                for (VertexId w : problem.codomain->vertex_ids()) {
-                    (*by_color)[problem.codomain->color(w)].push_back(w);
-                }
-            }
-            const auto it = by_color->find(problem.domain->color(v));
-            if (it != by_color->end()) candidates = it->second;
-        }
-        const SimplicialComplex& allowed = problem.allowed(Simplex{v});
-        auto ait = in_allowed.find(&allowed);
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        auto ait = in_allowed.find(allowed[i]);
         if (ait == in_allowed.end()) {
-            ait = in_allowed.emplace(&allowed, vertex_flags(allowed)).first;
+            ait = in_allowed.emplace(allowed[i], vertex_flags(*allowed[i]))
+                      .first;
         }
         std::vector<VertexId> filtered;
-        for (VertexId w : candidates) {
+        for (VertexId w : candidates[i]) {
             if (has_vertex(in_codomain, w) && has_vertex(ait->second, w)) {
                 filtered.push_back(w);
             }
         }
-        domains.emplace(v, std::move(filtered));
+        // Free the raw list now: otherwise every raw list and every
+        // filtered domain would be live at once.
+        std::vector<VertexId>().swap(candidates[i]);
+        domains.emplace(vertices[i], std::move(filtered));
     }
     return domains;
 }
@@ -406,8 +436,7 @@ struct FcSearcher {
     // The incremental layers, owned by the per-thread driver
     // (solve_single): memoized constraint evaluation, learned
     // conflicts, and the portfolio exchange session (null when
-    // single-threaded). The root-propagation searcher brings its own
-    // cache and learns nothing (null store, null session).
+    // single-threaded).
     EvalCache* cache = nullptr;
     NogoodStore* nogoods = nullptr;
     ExchangeSession* session = nullptr;
@@ -460,13 +489,6 @@ struct FcSearcher {
     // allocated once, not per node; valid only within the call that
     // filled it (nothing assigns between the fill and the drain).
     std::vector<std::pair<const Simplex*, std::uint32_t>> fc_pending;
-    // Root propagation only (try_assign's unmemoized branch): the
-    // codomain's 1-skeleton, built on the first pending constraint so
-    // problems without one never pay for it, and per constraint a dense
-    // count over codomain ids (zeroed again through the touched list).
-    std::optional<topo::AdjacencyIndex> codomain_adjacency;
-    std::vector<std::uint32_t> image_fit;
-    std::vector<VertexId> image_fit_touched;
 
     // Luby restart state, driven by fc_solve_component: once the
     // current run's backtracks reach restart_limit, search() unwinds
@@ -574,12 +596,9 @@ struct FcSearcher {
     /// live, share it with the racing threads immediately (the
     /// published copy is the store's canonical literal vector — a deque
     /// element, so the reference is stable even while other imports
-    /// keep appending). A no-op in the root-propagation searcher, whose
-    /// conflicts refute the whole problem.
+    /// keep appending).
     void learn(std::vector<NogoodLiteral> literals) {
-        if (nogoods == nullptr || !nogoods->record(std::move(literals))) {
-            return;
-        }
+        if (!nogoods->record(std::move(literals))) return;
         ++counters.nogoods_recorded;
         if (session != nullptr) {
             session->publish_recorded(nogoods->all().back());
@@ -652,9 +671,7 @@ struct FcSearcher {
         return u < var_of_vertex.size() ? var_of_vertex[u] : kNoVar;
     }
 
-    bool stopped() const {
-        return cancel != nullptr && cancel->cancelled();
-    }
+    bool stopped() const { return is_cancelled(cancel); }
 
     /// Leaf constraint check for a fully assigned indexed simplex, via
     /// the evaluation memo.
@@ -668,8 +685,7 @@ struct FcSearcher {
                                     image_scratch);
     }
 
-    /// Reset a variable's live-domain state to "everything active";
-    /// the setup sites and the restart driver share it.
+    /// Reset a variable's live-domain state to "everything active".
     static void activate_all(Var& var) {
         const std::size_t n = var.values.size();
         var.active.assign(n, 1);
@@ -807,76 +823,26 @@ struct FcSearcher {
                     image.push_back(vars[var_of_vertex[u]].value);
                 }
             }
-            if (cache->memoizes_images()) {
-                // One memoized lookup filters the whole candidate list:
-                // the mask is keyed by the neighborhood-image
-                // fingerprint (cid + assigned values + hole). The filter
-                // itself is the word-wise pass `live & ~allowed` over
-                // the packed domain — only the values actually being
-                // pruned cost anything beyond one AND-NOT per 64
-                // candidates (ctz walks the remainder in ascending
-                // index order).
-                const std::vector<std::uint64_t>& mask =
-                    cache->allowed_mask(problem, index.id_of(sigma_ptr),
-                                        sigma, image, u_slot, uvar.values);
-                const std::size_t words = uvar.active_bits.size();
-                for (std::size_t wd = 0; wd < words; ++wd) {
-                    std::uint64_t removed = uvar.active_bits[wd] & ~mask[wd];
-                    while (removed != 0) {
-                        const std::size_t i =
-                            (wd << 6) + static_cast<std::size_t>(
-                                            __builtin_ctzll(removed));
-                        removed &= removed - 1;
-                        prune(u_idx, i, sigma_ptr);
-                    }
+            // One memoized lookup filters the whole candidate list: the
+            // mask is keyed by the neighborhood-image fingerprint (cid +
+            // assigned values + hole). The filter itself is the
+            // word-wise pass `live & ~allowed` over the packed domain —
+            // only the values actually being pruned cost anything beyond
+            // one AND-NOT per 64 candidates (ctz walks the remainder in
+            // ascending index order).
+            const std::vector<std::uint64_t>& mask =
+                cache->allowed_mask(problem, index.id_of(sigma_ptr),
+                                    sigma, image, u_slot, uvar.values);
+            const std::size_t words = uvar.active_bits.size();
+            for (std::size_t wd = 0; wd < words; ++wd) {
+                std::uint64_t removed = uvar.active_bits[wd] & ~mask[wd];
+                while (removed != 0) {
+                    const std::size_t i =
+                        (wd << 6) + static_cast<std::size_t>(
+                                        __builtin_ctzll(removed));
+                    removed &= removed - 1;
+                    prune(u_idx, i, sigma_ptr);
                 }
-            } else {
-                // Root propagation: every fixed vertex is assigned
-                // once, so a mask would never be reused; test only the
-                // still-live values, in the same ascending order. A
-                // value that neither equals nor neighbors (in the
-                // codomain's 1-skeleton) every assigned image vertex
-                // cannot complete a codomain simplex, so it is pruned
-                // without the exact probe, which would reject it; the
-                // probe decides the rest (a value equal to an image
-                // vertex collapses with it in the Simplex).
-                const SimplicialComplex& allowed =
-                    cache->allowed(problem, index.id_of(sigma_ptr), sigma);
-                if (!codomain_adjacency.has_value()) {
-                    codomain_adjacency.emplace(problem.codomain->complex(),
-                                               false);
-                }
-                // image_fit[w]: the assigned slots whose value w equals
-                // or neighbors (at most one per slot: no vertex is its
-                // own neighbor); a value may fit only at the full count.
-                const auto bump = [this](VertexId w) {
-                    if (w >= image_fit.size()) image_fit.resize(w + 1, 0);
-                    if (image_fit[w]++ == 0) image_fit_touched.push_back(w);
-                };
-                for (std::size_t j = 0; j < image.size(); ++j) {
-                    if (j == u_slot) continue;
-                    bump(image[j]);
-                    for (VertexId w : codomain_adjacency->neighbors(image[j])) {
-                        bump(w);
-                    }
-                }
-                const std::size_t slots = image.size() - 1;
-                for (std::size_t i = 0; i < uvar.values.size(); ++i) {
-                    if (!uvar.active[i]) continue;
-                    const VertexId c = uvar.values[i];
-                    if (c >= image_fit.size() || image_fit[c] != slots) {
-                        prune(u_idx, i, sigma_ptr);
-                        continue;
-                    }
-                    image[u_slot] = c;
-                    const Simplex img(image);
-                    if (!problem.codomain->contains(img) ||
-                        !allowed.contains(img)) {
-                        prune(u_idx, i, sigma_ptr);
-                    }
-                }
-                for (VertexId w : image_fit_touched) image_fit[w] = 0;
-                image_fit_touched.clear();
             }
             if (uvar.active_count == 0) {
                 record_wipeout(u_idx);
@@ -1028,61 +994,100 @@ enum class RootOutcome { kPropagated, kConflict, kCancelled };
 /// Root propagation of the fixed assignments, done once per solve: they
 /// are not search decisions, so a conflict here proves unsatisfiability
 /// outright, and the pruning they induce on the free domains is the same
-/// for every free-vertex component and every portfolio thread — the FC
-/// engine used to redo it (components x threads) times. On kPropagated,
-/// `pruned` holds the pruned per-vertex domains. Polls `cancel` once per
-/// fixed vertex.
+/// for every free-vertex component and every portfolio thread. Computed
+/// directly as its fixed point, one sharded unit per vertex u: u keeps
+/// the base values c that pass, for every incident simplex whose other
+/// vertices are all fixed, the image test (the image, with c at u, is a
+/// codomain simplex inside allowed(sigma)). A fixed u tests only the
+/// simplices it is the largest vertex of, so each all-fixed simplex is
+/// checked once, and its (one-value) domain must not be empty; a free
+/// domain emptied by at least one such simplex is a conflict too. This
+/// is what assigning the fixed vertices one by one with forward checking
+/// computes: each simplex with exactly one unassigned vertex filters it
+/// exactly once (when its last fixed vertex is assigned), and the
+/// filters commute. On kPropagated, `pruned` holds every vertex's domain
+/// in base order. Polls `cancel` once per vertex and once after the
+/// pass; a cancelled pass is kCancelled even if a unit found a conflict.
 RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
                                      const topo::AdjacencyIndex& index,
                                      const std::vector<VertexId>& vertices,
-                                     const std::vector<VertexId>& fixed_order,
                                      const DomainMap& base_domains,
                                      const exec::CancelToken* cancel,
                                      DomainMap& pruned) {
-    if (fixed_order.empty()) {
+    if (problem.fixed.empty()) {
         pruned = base_domains;
         return RootOutcome::kPropagated;
     }
+    // Dense fixed values over the domain's vertex ids (decompose has
+    // checked that every fixed vertex is one of them).
+    const std::size_t size = std::size_t{vertices.back()} + 1;
+    std::vector<char> is_fixed(size, 0);
+    std::vector<VertexId> fixed_value(size, 0);
+    for (const auto& [v, w] : problem.fixed) {
+        is_fixed[v] = 1;
+        fixed_value[v] = w;
+    }
+    // The codomain's 1-skeleton: a value that neither equals nor
+    // neighbors every fixed image vertex cannot complete a codomain
+    // simplex, so it fails without the exact probe (a value equal to an
+    // image vertex collapses with it in the Simplex).
+    const topo::AdjacencyIndex codomain_adjacency(problem.codomain->complex(),
+                                                  false);
 
-    // A throwaway cache: the root assigns each fixed vertex once, so
-    // only the allowed() table is worth keeping (image memos off, which
-    // also switches try_assign to its live-values-only filter).
-    EvalCache cache(index.indexed_simplex_count(), 0);
-    FcSearcher s(problem, index, /*budget=*/0);  // never searches
-    s.cache = &cache;
-    for (VertexId v : fixed_order) {
-        s.var_index[v] = s.vars.size();
-        s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, true, {}});
-    }
-    for (VertexId v : vertices) {
-        if (problem.fixed.count(v) != 0) continue;
-        s.var_index[v] = s.vars.size();
-        s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, false, {}});
-    }
-    for (FcSearcher::Var& var : s.vars) {
-        var.values = base_domains.at(var.v);
-        FcSearcher::activate_all(var);
-    }
-    s.finalize_vars();
-    for (VertexId v : fixed_order) {
-        if (cancel != nullptr && cancel->cancelled()) {
-            return RootOutcome::kCancelled;
+    std::vector<std::vector<VertexId>> live(vertices.size());
+    std::atomic<bool> conflict{false};
+    for_each_vertex(vertices.size(), [&](std::size_t i) {
+        if (is_cancelled(cancel) || conflict) return;
+        const VertexId u = vertices[i];
+        const bool u_fixed = is_fixed[u] != 0;
+        std::vector<VertexId> values = base_domains.at(u);
+        bool constrained = u_fixed;
+        std::vector<VertexId> image;
+        for (const Simplex* sigma : index.incident_simplices(u)) {
+            if (u_fixed && sigma->vertices().back() != u) continue;
+            image.clear();
+            std::size_t hole = 0;
+            for (VertexId x : sigma->vertices()) {
+                if (x == u) {
+                    hole = image.size();
+                    image.push_back(u);  // overwritten per candidate
+                } else if (is_fixed[x] != 0) {
+                    image.push_back(fixed_value[x]);
+                } else {
+                    break;
+                }
+            }
+            if (image.size() != sigma->size()) continue;
+            constrained = true;
+            const SimplicialComplex* allowed = nullptr;
+            std::erase_if(values, [&](VertexId c) {
+                for (std::size_t j = 0; j < image.size(); ++j) {
+                    if (j == hole || image[j] == c) continue;
+                    if (!std::ranges::binary_search(
+                            codomain_adjacency.neighbors(image[j]), c)) {
+                        return true;
+                    }
+                }
+                image[hole] = c;
+                const Simplex img(image);
+                if (!problem.codomain->contains(img)) return true;
+                if (allowed == nullptr) allowed = &problem.allowed(*sigma);
+                return !allowed->contains(img);
+            });
+            if (values.empty()) break;
         }
-        const std::size_t idx = s.var_index.at(v);
-        if (s.vars[idx].values.empty() ||
-            !s.try_assign(idx, s.vars[idx].values.front())) {
-            return RootOutcome::kConflict;
+        if (constrained && values.empty()) {
+            conflict = true;
+            return;
         }
-    }
+        live[i] = std::move(values);
+    });
+    if (is_cancelled(cancel)) return RootOutcome::kCancelled;
+    if (conflict) return RootOutcome::kConflict;
     pruned.clear();
-    pruned.reserve(s.vars.size());
-    for (const FcSearcher::Var& var : s.vars) {
-        std::vector<VertexId> live;
-        live.reserve(var.active_count);
-        for (std::size_t i = 0; i < var.values.size(); ++i) {
-            if (var.active[i]) live.push_back(var.values[i]);
-        }
-        pruned.emplace(var.v, std::move(live));
+    pruned.reserve(vertices.size());
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        pruned.emplace(vertices[i], std::move(live[i]));
     }
     return RootOutcome::kPropagated;
 }
@@ -1413,8 +1418,8 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
     DomainMap propagated_domains;
     if (!config.naive_engine) {
         switch (propagate_fixed_snapshot(problem, index, vertices,
-                                         dec.fixed_order, base_domains,
-                                         config.cancel, propagated_domains)) {
+                                         base_domains, config.cancel,
+                                         propagated_domains)) {
             case RootOutcome::kPropagated:
                 break;
             case RootOutcome::kConflict: {

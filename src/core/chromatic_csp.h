@@ -26,6 +26,9 @@
 // Independently, `num_threads > 1` races a portfolio of searches with
 // diversified value orders as a cancellable task group on the resident
 // scheduler (src/exec/); the first witness wins via a CancelToken.
+// Whatever the thread count, each solve's set-up — the initial domains
+// and the root propagation of the fixed vertices — runs one unit per
+// domain vertex on the shared scheduler at its full width.
 //
 // The shipped engine's per-node work is flattened by incremental layers
 // that are always on and provably verdict/witness-preserving:
@@ -92,8 +95,10 @@ struct ChromaticMapProblem {
     /// @note Must be pure and stable within one solve: the solver's
     /// memoization layers (core/eval_cache.h) cache both the returned
     /// reference and evaluation results against it, and the initial
-    /// domain filter keeps one vertex table per returned reference. With num_threads > 1
-    /// it is called concurrently and must be thread-safe for reads.
+    /// domain filter keeps one vertex table per returned reference.
+    /// Every solve may call it from several threads at once (the
+    /// sharded set-up, and the portfolio race with num_threads > 1), so
+    /// it must be thread-safe for reads.
     std::function<const SimplicialComplex&(const Simplex&)> allowed;
 
     /// @brief Pre-assigned vertices (may be empty).
@@ -103,8 +108,8 @@ struct ChromaticMapProblem {
     /// ordered list of codomain vertices to try (already
     /// color-matching). When absent, all color-matching vertices allowed
     /// at the vertex are tried.
-    /// @note With num_threads > 1 this is called concurrently and must
-    /// be thread-safe.
+    /// @note Every solve may call it from several threads at once (the
+    /// sharded set-up), so it must be thread-safe.
     std::function<std::vector<VertexId>(VertexId)> candidate_order;
 
     /// @brief Optional cross-solve learning pool (core/nogood_store.h).
@@ -207,13 +212,15 @@ struct SolverConfig {
     /// search aborts at its backtrack checkpoints once the token is
     /// cancelled or past its deadline — the same "not a proof" abort as
     /// a spent backtrack budget (`exhausted` comes back false). The
-    /// set-up polls it too: once per domain vertex while building the
-    /// initial domains (before each candidate_order call) and once per
-    /// fixed vertex in root propagation. Not
-    /// owned; must outlive the solve. Null = never cancelled. The
-    /// engine threads EngineOptions::time_budget_ms through here, and
-    /// the portfolio race runs under a child of this token so settling
-    /// one race never cancels the caller's scope.
+    /// set-up polls it too: in each of its two sharded passes (initial
+    /// domains, then root propagation) once per domain vertex, before
+    /// that vertex's candidate_order or constraint calls, and once
+    /// after each pass. A set-up cut short returns no map and is not
+    /// exhausted; one cut during the domain pass never starts root
+    /// propagation. Not owned; must outlive the solve. Null = never
+    /// cancelled. The engine threads EngineOptions::time_budget_ms
+    /// through here, and the portfolio race runs under a child of this
+    /// token so settling one race never cancels the caller's scope.
     const exec::CancelToken* cancel = nullptr;
 
     /// @brief Run the seed backtracker instead of the shipped engine:

@@ -117,9 +117,6 @@ public:
         std::size_t hole_slot, const std::vector<topo::VertexId>& values);
 
     const EvalCacheStats& stats() const noexcept { return stats_; }
-    /// False when constructed with image_capacity 0: image and mask
-    /// results are then computed afresh on every call.
-    bool memoizes_images() const noexcept { return image_capacity_ > 0; }
 
 private:
     struct ImageKey {
@@ -188,8 +185,8 @@ private:
 /// depth and across subdivision depths — skip the carrier-map walk.
 ///
 /// @note Thread safety matters because ChromaticMapProblem::allowed is
-/// called concurrently by portfolio solver threads; the mutex is only
-/// contended in that mode.
+/// called concurrently on every solve: by the sharded set-up (initial
+/// domains and root propagation) and by portfolio solver threads.
 class AllowedComplexLru {
 public:
     /// `capacity` == 0 disables caching (get() always calls `miss`).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/lt_pipeline.h"
 #include "engine/report_json.h"
 #include "exec/cancel.h"
@@ -358,6 +360,80 @@ TEST(ChromaticCspConfig, StrayCandidatesRejectedByBothEngines) {
     }
 }
 
+/// Root propagation refutes the problem before any search: the shipped
+/// engine answers exhausted with no map and 0 backtracks, and the naive
+/// reference, which re-checks the fixed vertices by search, reaches the
+/// same verdict.
+void expect_refuted_at_root(const ChromaticMapProblem& problem) {
+    const ChromaticMapResult fast =
+        solve_chromatic_map(problem, SolverConfig::fast());
+    EXPECT_FALSE(fast.map.has_value());
+    EXPECT_TRUE(fast.exhausted);
+    EXPECT_EQ(fast.counters.backtracks, 0u);
+    const ChromaticMapResult naive =
+        solve_chromatic_map(problem, SolverConfig::naive());
+    EXPECT_FALSE(naive.map.has_value());
+    EXPECT_TRUE(naive.exhausted);
+}
+
+/// One edge {0, 1} (colors 0, 1) mapped onto one edge {10, 11}.
+struct EdgeOntoEdge {
+    ChromaticComplex domain{SimplicialComplex::from_facets({Simplex{0, 1}}),
+                            {{0, 0}, {1, 1}}};
+    ChromaticComplex codomain{
+        SimplicialComplex::from_facets({Simplex{10, 11}}), {{10, 0}, {11, 1}}};
+};
+
+TEST(ChromaticCspRootRefutation, FixedValueOutsideItsOwnDomain) {
+    // Vertex 0's own constraint complex holds only 11, so its fixed
+    // value 10 is filtered out of its initial domain.
+    const EdgeOntoEdge e;
+    const SimplicialComplex only_11 =
+        SimplicialComplex::from_facets({Simplex{11}});
+    ChromaticMapProblem problem;
+    problem.domain = &e.domain;
+    problem.codomain = &e.codomain;
+    problem.allowed = [&](const Simplex& sigma) -> const SimplicialComplex& {
+        return sigma == Simplex{0} ? only_11 : e.codomain.complex();
+    };
+    problem.fixed = {{0, 10}, {1, 11}};
+    expect_refuted_at_root(problem);
+}
+
+TEST(ChromaticCspRootRefutation, FixedEdgeImageViolatesAllowed) {
+    // Both endpoints are fixed, each value allowed on its own, but the
+    // edge's constraint complex has no edge: the image {10, 11} is a
+    // codomain simplex outside allowed({0, 1}).
+    const EdgeOntoEdge e;
+    const SimplicialComplex no_edge =
+        SimplicialComplex::from_facets({Simplex{10}, Simplex{11}});
+    ChromaticMapProblem problem;
+    problem.domain = &e.domain;
+    problem.codomain = &e.codomain;
+    problem.allowed = [&](const Simplex& sigma) -> const SimplicialComplex& {
+        return sigma.size() == 2 ? no_edge : e.codomain.complex();
+    };
+    problem.fixed = {{0, 10}, {1, 11}};
+    expect_refuted_at_root(problem);
+}
+
+TEST(ChromaticCspRootRefutation, FixedNeighborsEmptyAFreeDomain) {
+    // The free middle of the path 0-1-2 must map to 11 (edge {0, 1}
+    // fixed at 10) and to 21 (edge {1, 2} fixed at 20).
+    const ChromaticComplex domain(
+        SimplicialComplex::from_facets({Simplex{0, 1}, Simplex{1, 2}}),
+        {{0, 0}, {1, 1}, {2, 0}});
+    const ChromaticComplex codomain(
+        SimplicialComplex::from_facets({Simplex{10, 11}, Simplex{20, 21}}),
+        {{10, 0}, {11, 1}, {20, 0}, {21, 1}});
+    ChromaticMapProblem problem;
+    problem.domain = &domain;
+    problem.codomain = &codomain;
+    problem.allowed = allow_all(codomain);
+    problem.fixed = {{0, 10}, {2, 20}};
+    expect_refuted_at_root(problem);
+}
+
 TEST(ChromaticCspConfig, ShuffledValueOrderIsDeterministicPerSeed) {
     SimplicialComplex pt = SimplicialComplex::from_facets({Simplex{0}});
     ChromaticComplex domain(pt, {{0, 0}});
@@ -468,7 +544,8 @@ TEST(ChromaticCspCancel, CancelledSetupSkipsCandidateOrders) {
     const LtInstance& inst = lt_instance();
     ChromaticMapProblem problem = lt_approximation_problem(
         inst.task, inst.tsub, /*fix_identity=*/true, LtGuidance::kRadial);
-    std::size_t calls = 0;
+    // Atomic: the set-up runs the closure on several workers.
+    std::atomic<std::size_t> calls = 0;
     problem.candidate_order = [&calls, inner = problem.candidate_order](
                                   VertexId v) {
         ++calls;
@@ -499,7 +576,7 @@ TEST(ChromaticCspCancel, CancelDuringDomainsStopsRootPropagation) {
     const auto base_allowed = problem.allowed;
     exec::CancelToken token;
     bool cancel_at_last = true;
-    std::size_t constraint_calls = 0;
+    std::atomic<std::size_t> constraint_calls = 0;  // called from workers
     problem.allowed = [&](const Simplex& sigma) -> const SimplicialComplex& {
         if (sigma.size() > 1) ++constraint_calls;
         if (cancel_at_last && sigma == Simplex{last}) token.cancel();

@@ -4,8 +4,8 @@
 //   gact_sweep --preset quick                    # the standard ~22-cell
 //                                                # grid (every family at
 //                                                # cheap points)
-//   gact_sweep --family lt --param n=1..2 --param t=1,2 \
-//              --param model=wf,res1             # explicit Cartesian grid
+//   gact_sweep --family lt --param n=1..2 --param t=1,2 --param model=wf,res1
+//                                                # explicit Cartesian grid
 //   gact_sweep --family wf-is                    # omitted axes default to
 //                                                # the full canonical range
 //   gact_sweep --list-families                   # schemas, nothing solved
