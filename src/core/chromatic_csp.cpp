@@ -1000,8 +1000,11 @@ enum class RootOutcome { kPropagated, kConflict, kCancelled };
 /// vertices are all fixed, the image test (the image, with c at u, is a
 /// codomain simplex inside allowed(sigma)). A fixed u tests only the
 /// simplices it is the largest vertex of, so each all-fixed simplex is
-/// checked once, and its (one-value) domain must not be empty; a free
-/// domain emptied by at least one such simplex is a conflict too. This
+/// checked once. Any empty domain is a conflict (no map exists): a fixed
+/// vertex whose value failed, and a free vertex with no candidate left,
+/// filtered or not. So on kPropagated every domain is non-empty and a
+/// fixed vertex's domain is exactly its value, which the search
+/// (fc_solve_component) relies on. This
 /// is what assigning the fixed vertices one by one with forward checking
 /// computes: each simplex with exactly one unassigned vertex filters it
 /// exactly once (when its last fixed vertex is assigned), and the
@@ -1015,6 +1018,9 @@ RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
                                      const exec::CancelToken* cancel,
                                      DomainMap& pruned) {
     if (problem.fixed.empty()) {
+        for (const auto& [v, values] : base_domains) {
+            if (values.empty()) return RootOutcome::kConflict;
+        }
         pruned = base_domains;
         return RootOutcome::kPropagated;
     }
@@ -1041,7 +1047,6 @@ RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
         const VertexId u = vertices[i];
         const bool u_fixed = is_fixed[u] != 0;
         std::vector<VertexId> values = base_domains.at(u);
-        bool constrained = u_fixed;
         std::vector<VertexId> image;
         for (const Simplex* sigma : index.incident_simplices(u)) {
             if (u_fixed && sigma->vertices().back() != u) continue;
@@ -1058,7 +1063,6 @@ RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
                 }
             }
             if (image.size() != sigma->size()) continue;
-            constrained = true;
             const SimplicialComplex* allowed = nullptr;
             std::erase_if(values, [&](VertexId c) {
                 for (std::size_t j = 0; j < image.size(); ++j) {
@@ -1076,7 +1080,7 @@ RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
             });
             if (values.empty()) break;
         }
-        if (constrained && values.empty()) {
+        if (values.empty()) {
             conflict = true;
             return;
         }
@@ -1135,9 +1139,20 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
         s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, false, {}});
     }
 
+    // The search assumes root propagation ran: no domain is empty, and a
+    // fixed vertex's domain is exactly its value (propagate_fixed_snapshot
+    // guarantees both, or reports kConflict). Without them it would read
+    // an empty domain or keep a violated all-fixed simplex.
     std::mt19937_64 rng(config.seed ^ shuffle_salt);
     for (FcSearcher::Var& var : s.vars) {
         var.values = propagated_domains.at(var.v);
+        ensure(!var.values.empty(),
+               "solve_chromatic_map: search handed an empty domain");
+        ensure(!var.is_fixed ||
+                   (var.values.size() == 1 &&
+                    var.values.front() == problem.fixed.at(var.v)),
+               "solve_chromatic_map: search handed an unpropagated fixed "
+               "vertex");
         if (config.value_order == ValueOrder::kShuffled && !var.is_fixed) {
             std::shuffle(var.values.begin(), var.values.end(), rng);
         }
@@ -1423,9 +1438,9 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
             case RootOutcome::kPropagated:
                 break;
             case RootOutcome::kConflict: {
-                // A conflict among the fixed assignments alone proves
-                // unsatisfiability outright (they are not search
-                // decisions).
+                // An empty domain, or a conflict among the fixed
+                // assignments alone, proves unsatisfiability outright
+                // (neither is a search decision).
                 ChromaticMapResult result;
                 result.exhausted = true;
                 return result;

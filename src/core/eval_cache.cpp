@@ -8,6 +8,7 @@ namespace gact::core {
 EvalCache::EvalCache(std::size_t num_constraints, std::size_t image_capacity)
     : allowed_by_id_(num_constraints, nullptr),
       image_capacity_(image_capacity) {
+    require(image_capacity > 0, "EvalCache: image capacity must be > 0");
     // Sized generously up front: the image memo is the hot map and
     // rehashing mid-search would show up in the profiles this cache
     // exists to flatten.
@@ -37,26 +38,19 @@ bool EvalCache::image_allowed(const ChromaticMapProblem& problem,
         ++stats_.image_hits;
         return it->second;
     }
-    const topo::Simplex img{std::vector<topo::VertexId>(image)};
+    const topo::Simplex img{std::span<const topo::VertexId>(image)};
     const bool ok = problem.codomain->contains(img) &&
                     allowed(problem, cid, sigma).contains(img);
-    if (admit_one()) {
-        ++stats_.image_misses;
-        image_memo_.emplace(
-            ImageKey{static_cast<std::uint32_t>(cid), image}, ok);
-    } else {
-        ++stats_.image_rejected;
-    }
+    admit_one();
+    ++stats_.image_misses;
+    image_memo_.emplace(ImageKey{static_cast<std::uint32_t>(cid), image}, ok);
     return ok;
 }
 
-bool EvalCache::admit_one() {
+void EvalCache::admit_one() {
     // Both memos share the one capacity so the configured cap bounds
     // the cache's total footprint.
-    if (image_memo_.size() + mask_memo_.size() < image_capacity_) {
-        return true;
-    }
-    if (image_capacity_ == 0) return false;  // image memos disabled
+    if (image_memo_.size() + mask_memo_.size() < image_capacity_) return;
     // Full: reset the epoch instead of freezing. The old code refused
     // every insertion from here on, which pinned the memo to whatever
     // the search touched first — all later subtrees ran uncached for
@@ -67,7 +61,6 @@ bool EvalCache::admit_one() {
     ++stats_.epoch_resets;
     image_memo_.clear();
     mask_memo_.clear();
-    return true;
 }
 
 const std::vector<std::uint64_t>& EvalCache::allowed_mask(
@@ -84,22 +77,17 @@ const std::vector<std::uint64_t>& EvalCache::allowed_mask(
     std::vector<std::uint64_t> mask((values.size() + 63) / 64, 0);
     for (std::size_t i = 0; i < values.size(); ++i) {
         image[hole_slot] = values[i];
-        const topo::Simplex img{std::vector<topo::VertexId>(image)};
+        const topo::Simplex img{std::span<const topo::VertexId>(image)};
         if (problem.codomain->contains(img) && constraint.contains(img)) {
             mask[i / 64] |= std::uint64_t{1} << (i % 64);
         }
     }
     image[hole_slot] = kHole;
-    if (admit_one()) {
-        ++stats_.image_misses;
-        const auto [pos, inserted] = mask_memo_.emplace(
-            ImageKey{static_cast<std::uint32_t>(cid), image},
-            std::move(mask));
-        return pos->second;
-    }
-    ++stats_.image_rejected;
-    mask_scratch_ = std::move(mask);
-    return mask_scratch_;
+    admit_one();
+    ++stats_.image_misses;
+    const auto [pos, inserted] = mask_memo_.emplace(
+        ImageKey{static_cast<std::uint32_t>(cid), image}, std::move(mask));
+    return pos->second;
 }
 
 AllowedComplexLru::AllowedComplexLru(std::size_t capacity)

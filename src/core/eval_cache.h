@@ -45,10 +45,6 @@ struct EvalCacheStats {
     std::size_t allowed_misses = 0;
     std::size_t image_hits = 0;
     std::size_t image_misses = 0;
-    /// Image evaluations not memoized (only with image_capacity == 0,
-    /// which disables the image memos outright; a full memo now resets
-    /// instead of rejecting — see epoch_resets).
-    std::size_t image_rejected = 0;
     /// Full-memo epoch resets: a miss at capacity drops BOTH image
     /// memos wholesale and memoizes the new entry. The old behavior —
     /// rejecting every insertion forever once full, pinning whatever
@@ -61,7 +57,7 @@ struct EvalCacheStats {
 
     std::size_t hits() const noexcept { return allowed_hits + image_hits; }
     std::size_t misses() const noexcept {
-        return allowed_misses + image_misses + image_rejected;
+        return allowed_misses + image_misses;
     }
 };
 
@@ -75,8 +71,7 @@ struct EvalCacheStats {
 class EvalCache {
 public:
     /// `num_constraints` sizes the dense allowed() table;
-    /// `image_capacity` caps the image-evaluation memo (0 disables just
-    /// that memo — allowed() results are always memoized).
+    /// `image_capacity` (> 0) caps the image-evaluation memos.
     EvalCache(std::size_t num_constraints, std::size_t image_capacity);
 
     /// Memoized `problem.allowed(sigma)` for the constraint with dense
@@ -161,20 +156,19 @@ private:
         }
     };
 
-    /// Make room for one image/mask memo insertion: true = insert. At
-    /// capacity this resets the epoch (clears both memos) rather than
-    /// refusing — the refill costs a few thousand re-evaluations once,
-    /// the freeze cost every evaluation from then on. Callers only hold
-    /// memo references up to the next cache call (the documented
-    /// allowed_mask contract), so the reset invalidates nothing live.
-    bool admit_one();
+    /// Make room for one image/mask memo insertion. At capacity this
+    /// resets the epoch (clears both memos) rather than refusing — the
+    /// refill costs a few thousand re-evaluations once, the freeze cost
+    /// every evaluation from then on. Callers only hold memo references
+    /// up to the next cache call (the documented allowed_mask contract),
+    /// so the reset invalidates nothing live.
+    void admit_one();
 
     std::vector<const topo::SimplicialComplex*> allowed_by_id_;
     std::unordered_map<ImageKey, bool, ImageKeyHash, ImageKeyEq> image_memo_;
     std::unordered_map<ImageKey, std::vector<std::uint64_t>, ImageKeyHash,
                        ImageKeyEq>
         mask_memo_;
-    std::vector<std::uint64_t> mask_scratch_;  // result slot at capacity
     std::size_t image_capacity_ = 0;
     EvalCacheStats stats_;
 };

@@ -10,7 +10,10 @@
 //
 // Stage complexes have per-stage vertex ids; K(T) is accumulated in a
 // global registry keyed by (color, exact position), so a stable vertex is
-// the same K(T) vertex no matter at which stage it stabilized.
+// the same K(T) vertex no matter at which stage it stabilized. Since
+// Sigma_{k-1} persists into Sigma_k, K(T) after stage k is Sigma_k in
+// global ids: the stage's stable set is read from K(T) through a
+// stage-vertex -> global-id table, not held a second time.
 #pragma once
 
 #include <functional>
@@ -104,17 +107,31 @@ public:
     const ChromaticComplex& base() const noexcept { return base_; }
 
 private:
-    /// Intern a stage vertex into the global registry.
-    VertexId global_id(const SubdividedComplex& stage_complex, VertexId v);
+    /// The global id of a vertex of newest_, interning it into the
+    /// global registry if it has none yet.
+    VertexId global_id(VertexId v);
+
+    /// Is the simplex t of newest_ in Sigma_{stages()-1}: does every
+    /// vertex have a global id, and is the mapped simplex in K(T)? Reads
+    /// only, so the scan and the subdivision build call it concurrently.
+    bool is_stable(const Simplex& t) const;
+
+    /// Carry the global ids from newest_ = C_{k-1} to `next` = C_k and
+    /// check that Sigma_{k-1} persists in C_k.
+    std::vector<VertexId> carry_into(const SubdividedComplex& next) const;
 
     ChromaticComplex base_;
-    // newest_ is declared after sigma_ so that it, by far the largest
-    // member, is destroyed first. In the other order the frees left
-    // glibc's per-thread arenas so fragmented that the next subdivision's
-    // first advance() took ~0.5 s instead of ~1 ms (lt-3-2-res2, 4 shard
-    // threads).
-    SimplicialComplex sigma_;   // Sigma_{stages()-1}, in newest_'s ids
+    // Members are destroyed in reverse order: K(T)'s below go first, then
+    // newest_. Free order once mattered here: when a stage-id copy of
+    // Sigma_k was freed after newest_, glibc's per-thread arenas were
+    // left so fragmented that the next subdivision's first advance()
+    // took ~0.5 s instead of ~1 ms (lt-3-2-res2, 4 shard threads). In
+    // this order it reads under 0.1 ms at 1 and at 4 shard threads.
     SubdividedComplex newest_;  // C_{stages()-1}
+    // Global id of each vertex of newest_ (kNoGlobal if not in K(T)):
+    // Sigma_{stages()-1} is the set of newest_'s simplices that map into
+    // K(T) through it.
+    std::vector<VertexId> global_of_;
     std::size_t stages_ = 0;
 
     // Global stable complex and geometry. advance() inserts straight into

@@ -68,7 +68,7 @@ AffineTask t_resilience_task(int n, int t) {
     // Keep the facets having no vertex on an (n-t-1)-dimensional face,
     // i.e. every vertex's carrier has dimension >= n-t.
     SimplicialComplex l;
-    for (const Simplex& f : chr2.complex().facets()) {
+    for (const Simplex& f : chr2.facets()) {
         bool ok = true;
         for (topo::VertexId v : f.vertices()) {
             if (chr2.carrier(v).dimension() < n - t) {
@@ -86,7 +86,7 @@ AffineTask immediate_snapshot_task(int n) {
     const topo::SubdividedComplex chr = topo::SubdividedComplex::
         iterated_chromatic(topo::ChromaticComplex::standard_simplex(n), 1);
     SimplicialComplex l;
-    for (const Simplex& f : chr.complex().facets()) l.add_simplex(f);
+    for (const Simplex& f : chr.facets()) l.add_simplex(f);
     return make_affine_task("IS(n=" + std::to_string(n) + ")", chr, l);
 }
 

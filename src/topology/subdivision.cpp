@@ -1,27 +1,75 @@
 #include "topology/subdivision.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "exec/for_index.h"
 #include "topology/combinatorics.h"
 
 namespace gact::topo {
 
+namespace {
+
+/// color_ entry of an id that is not a vertex (identity of a complex
+/// with sparse ids).
+constexpr Color kNoColor = std::numeric_limits<Color>::max();
+
+}  // namespace
+
 SubdividedComplex SubdividedComplex::identity(const ChromaticComplex& base) {
     SubdividedComplex out;
     out.base_ = base;
-    out.complex_ = base;
+    out.closure_ = built(base);
     out.facets_ = base.facets();
     const std::vector<VertexId> verts = base.vertex_ids();
     VertexId max_id = 0;
     for (VertexId v : verts) max_id = std::max(max_id, v);
-    out.position_.resize(verts.empty() ? 0 : max_id + 1);
+    const std::size_t count = verts.empty() ? 0 : max_id + 1;
+    out.position_.resize(count);
+    out.color_.assign(count, kNoColor);
     for (VertexId v : verts) {
         out.position_[v] = BaryPoint::vertex(v);
+        out.color_[v] = base.color(v);
         out.position_index_.emplace(
-            std::make_pair(out.position_[v], base.color(v)), v);
+            std::make_pair(out.position_[v], out.color_[v]), v);
     }
     out.depth_ = 0;
+    return out;
+}
+
+std::shared_ptr<SubdividedComplex::Closure> SubdividedComplex::built(
+    ChromaticComplex complex) {
+    auto out = std::make_shared<Closure>();
+    std::call_once(out->built, [&] { out->complex = std::move(complex); });
+    return out;
+}
+
+const ChromaticComplex& SubdividedComplex::complex() const {
+    // Trusted: the chromatic subdivision colors each new vertex with the
+    // color of the original-complex vertex it replaces, facet by facet —
+    // proper coloring is structural here. (identity and barycentric
+    // filled the closure when they were built.)
+    std::call_once(closure_->built, [this] {
+        closure_->complex = ChromaticComplex::trusted(
+            SimplicialComplex::from_facets(facets_), color_map());
+    });
+    return closure_->complex;
+}
+
+Color SubdividedComplex::color(VertexId v) const {
+    require(v < color_.size() && color_[v] != kNoColor,
+            "SubdividedComplex: unknown vertex");
+    return color_[v];
+}
+
+std::unordered_map<VertexId, Color> SubdividedComplex::color_map() const {
+    std::unordered_map<VertexId, Color> out;
+    out.reserve(color_.size());
+    for (std::size_t v = 0; v < color_.size(); ++v) {
+        if (color_[v] != kNoColor) {
+            out.emplace(static_cast<VertexId>(v), color_[v]);
+        }
+    }
     return out;
 }
 
@@ -150,7 +198,6 @@ SubdividedComplex SubdividedComplex::chromatic_subdivision_with_termination(
     // — interns to the already-assigned id, so per-parent deduplication
     // preserves that order.) Geometry is deferred to phase 3 so the
     // exact rational arithmetic also shards.
-    std::unordered_map<VertexId, Color> colors;
     std::vector<Simplex> facets;
     std::vector<const Key*> key_of;  // new vertex id -> its map key
     const auto intern = [&](const Key& key) -> VertexId {
@@ -160,7 +207,7 @@ SubdividedComplex SubdividedComplex::chromatic_subdivision_with_termination(
         const auto inserted = out.vertex_index_.emplace(key, id).first;
         key_of.push_back(&inserted->first);  // map nodes are stable
         out.provenance_.push_back(Provenance{key.first, key.second});
-        colors[id] = complex_.color(key.first);
+        out.color_.push_back(color(key.first));
         return id;
     };
     std::vector<VertexId> global_of;
@@ -203,20 +250,14 @@ SubdividedComplex SubdividedComplex::chromatic_subdivision_with_termination(
     });
     for (std::size_t id = 0; id < out.position_.size(); ++id) {
         out.position_index_.emplace(
-            std::make_pair(out.position_[id],
-                           colors.at(static_cast<VertexId>(id))),
+            std::make_pair(out.position_[id], out.color_[id]),
             static_cast<VertexId>(id));
     }
 
     std::sort(facets.begin(), facets.end());
     facets.erase(std::unique(facets.begin(), facets.end()), facets.end());
-
-    SimplicialComplex closure = SimplicialComplex::from_facets(facets);
-    // Trusted: the chromatic subdivision colors each new vertex with the
-    // color of the original-complex vertex it replaces, facet by facet —
-    // proper coloring is structural here.
-    out.complex_ =
-        ChromaticComplex::trusted(std::move(closure), std::move(colors));
+    // The face closure is left to the first complex() read: the
+    // terminating subdivision reads only facets() and color().
     out.facets_ = std::move(facets);
     return out;
 }
@@ -234,7 +275,6 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
     out.base_ = base_;
     out.depth_ = depth_ + 1;
 
-    std::unordered_map<VertexId, Color> colors;
     std::map<Simplex, VertexId> barycenter_id;
     const auto intern = [&](const Simplex& sigma) -> VertexId {
         const auto it = barycenter_id.find(sigma);
@@ -254,9 +294,9 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
             Provenance{sigma.vertices().front(), sigma});
         out.vertex_index_.emplace(
             std::make_pair(sigma.vertices().front(), sigma), id);
-        colors[id] = static_cast<Color>(sigma.dimension());
+        out.color_.push_back(static_cast<Color>(sigma.dimension()));
         out.position_index_.emplace(
-            std::make_pair(out.position_.back(), colors[id]), id);
+            std::make_pair(out.position_.back(), out.color_.back()), id);
         return id;
     };
 
@@ -280,8 +320,8 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
     std::sort(facets.begin(), facets.end());
     facets.erase(std::unique(facets.begin(), facets.end()), facets.end());
 
-    out.complex_ = ChromaticComplex(SimplicialComplex::from_facets(facets),
-                                    std::move(colors));
+    out.closure_ = built(ChromaticComplex(
+        SimplicialComplex::from_facets(facets), out.color_map()));
     out.facets_ = std::move(facets);
     return out;
 }
@@ -363,11 +403,11 @@ SimplicialMap SubdividedComplex::retraction_to_parent(
     const ChromaticComplex& parent) const {
     require(depth_ > 0, "retraction_to_parent requires depth > 0");
     std::unordered_map<VertexId, VertexId> vm;
-    for (VertexId v : complex_.vertex_ids()) {
+    for (VertexId v : complex().vertex_ids()) {
         vm[v] = provenance_[v].parent_vertex;
     }
     SimplicialMap map(std::move(vm));
-    ensure(map.is_simplicial(complex_.complex(), parent.complex()),
+    ensure(map.is_simplicial(complex().complex(), parent.complex()),
            "retraction_to_parent: not simplicial");
     return map;
 }

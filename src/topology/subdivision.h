@@ -20,6 +20,8 @@
 
 #include <functional>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 
 #include "topology/chromatic_complex.h"
@@ -70,11 +72,24 @@ public:
     SubdividedComplex barycentric_subdivision() const;
 
     const ChromaticComplex& base() const noexcept { return base_; }
-    const ChromaticComplex& complex() const noexcept { return complex_; }
+
+    /// The subdivision as a chromatic complex: the face closure of
+    /// facets(), colored by color(). A subdivision step builds it on the
+    /// first read (safe under concurrent first reads); identity and
+    /// barycentric_subdivision build it at once. Copies share the built
+    /// complex.
+    const ChromaticComplex& complex() const;
 
     /// The facets of complex(), sorted and unique: the list the builder
     /// closed into complex(), kept so readers need not recompute it.
     const std::vector<Simplex>& facets() const noexcept { return facets_; }
+
+    /// Color of a vertex, read without building complex().
+    Color color(VertexId v) const;
+
+    /// One past the largest vertex id (ids below it may be unused for
+    /// `identity` of a complex with sparse ids).
+    std::size_t vertex_count() const noexcept { return position_.size(); }
 
     /// Number of subdivision steps applied since `identity` (0 for it).
     int depth() const noexcept { return depth_; }
@@ -107,10 +122,9 @@ public:
                         const Simplex& parent_simplex) const;
 
     /// Looks up a vertex by exact position and color. O(log n) through
-    /// the maintained (position, color) index — the terminating
-    /// subdivision's stable-persistence pass calls this once per stable
-    /// vertex per stage, and the index is what keeps heavy stages (L_t
-    /// at n = 3) from going quadratic in the stage complex.
+    /// the maintained (position, color) index, so callers that probe
+    /// many vertices (the L_t pipeline's identity pinning) stay linear
+    /// in the probes rather than in the complex.
     std::optional<VertexId> find_vertex(const BaryPoint& position,
                                         Color color) const;
 
@@ -134,9 +148,20 @@ public:
     void verify_subdivision_exactness() const;
 
 private:
+    /// complex(), filled once and shared by copies.
+    struct Closure {
+        std::once_flag built;
+        ChromaticComplex complex;
+    };
+    /// A Closure already holding `complex`.
+    static std::shared_ptr<Closure> built(ChromaticComplex complex);
+    /// color_ as the map ChromaticComplex takes.
+    std::unordered_map<VertexId, Color> color_map() const;
+
     ChromaticComplex base_;
-    ChromaticComplex complex_;
-    std::vector<Simplex> facets_;               // complex_'s facets, sorted
+    std::shared_ptr<Closure> closure_ = std::make_shared<Closure>();
+    std::vector<Simplex> facets_;               // complex()'s facets, sorted
+    std::vector<Color> color_;                  // indexed by VertexId
     std::vector<BaryPoint> position_;           // indexed by VertexId
     std::vector<Provenance> provenance_;        // indexed by VertexId
     std::map<std::pair<VertexId, Simplex>, VertexId> vertex_index_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <latch>
+#include <thread>
 #include <utility>
 
 #include "topology/combinatorics.h"
@@ -175,6 +179,57 @@ TEST(Subdivision, KeptFacetListMatchesComplexFacets) {
     for (const SubdividedComplex& cx : cases) {
         EXPECT_EQ(cx.facets(), cx.complex().facets());
     }
+}
+
+TEST(Subdivision, LazyComplexMatchesEagerClosure) {
+    // complex() is the face closure of facets(), built on first read: the
+    // same complex, iteration order included, as building it at once, and
+    // color() agrees with it without building it.
+    const ChromaticComplex s = ChromaticComplex::standard_simplex(2);
+    const SubdividedComplex id = SubdividedComplex::identity(s);
+    const SubdividedComplex chr = id.chromatic_subdivision();
+    const std::vector<SubdividedComplex> cases = {
+        id,
+        chr,
+        chr.chromatic_subdivision(),
+        id.chromatic_subdivision_with_termination(
+            [](const Simplex&) { return true; }),
+        id.chromatic_subdivision_with_termination(
+            [](const Simplex& t) { return t.is_face_of(Simplex{0, 1}); }),
+    };
+    for (const SubdividedComplex& cx : cases) {
+        const SimplicialComplex eager =
+            SimplicialComplex::from_facets(cx.facets());
+        const SimplexSet& built = cx.complex().complex().simplices();
+        EXPECT_TRUE(std::equal(built.begin(), built.end(),
+                               eager.simplices().begin(),
+                               eager.simplices().end()));
+        for (VertexId v : cx.complex().vertex_ids()) {
+            EXPECT_EQ(cx.color(v), cx.complex().color(v));
+        }
+    }
+}
+
+TEST(Subdivision, ConcurrentFirstReadsShareOneComplex) {
+    // Four threads make the first complex() read of one copy at once:
+    // the closure is built once, and the original shares it.
+    const SubdividedComplex chr2 =
+        SubdividedComplex::iterated_chromatic(
+            ChromaticComplex::standard_simplex(2), 2);
+    const SubdividedComplex copy = chr2;
+    std::latch start(4);
+    std::array<const ChromaticComplex*, 4> seen{};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            seen[i] = &copy.complex();
+        });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const ChromaticComplex* c : seen) EXPECT_EQ(c, seen[0]);
+    EXPECT_EQ(&chr2.complex(), seen[0]);
+    EXPECT_EQ(seen[0]->facets().size(), 169u);
 }
 
 TEST(Subdivision, FullyTerminatedComplexUnchanged) {

@@ -241,6 +241,51 @@ TEST(TerminatingSubdivision, StableComplexReadBetweenAdvancesMatchesFinal) {
     }
 }
 
+TEST(TerminatingSubdivision, SigmaIsKtInGlobalIds) {
+    // Sigma_k is not held apart from K(T): after stage k, a face of a
+    // stage facet is stable iff all its vertices have global ids and the
+    // mapped simplex is in K(T). Those faces and their images both
+    // number |K(T)|, so the map is a bijection between Sigma_k and K(T).
+    const auto lt_rule = [](const SubdividedComplex& cx, const Simplex& s) {
+        if (cx.depth() < 2) return false;
+        for (VertexId v : s.vertices()) {
+            if (cx.carrier(v).dimension() < 1) return false;
+        }
+        return true;
+    };
+    for (unsigned threads : {1u, 4u}) {
+        TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+        for (int i = 0; i < 5; ++i) {
+            t.advance(lt_rule, threads);
+            const SubdividedComplex& cx = t.complex_at(t.stages() - 1);
+            const topo::SimplicialComplex& kt = t.stable_complex().complex();
+            topo::SimplexSet stable;
+            topo::SimplexSet images;
+            for (const Simplex& f : cx.facets()) {
+                for (const Simplex& s : f.faces()) {
+                    std::vector<VertexId> global;
+                    for (VertexId v : s.vertices()) {
+                        const auto g =
+                            t.find_stable_vertex(cx.position(v), cx.color(v));
+                        if (!g.has_value()) break;
+                        global.push_back(*g);
+                    }
+                    if (global.size() != s.size()) continue;
+                    const Simplex image(global);
+                    if (!kt.contains(image)) continue;
+                    stable.insert(s);
+                    images.insert(image);
+                }
+            }
+            EXPECT_EQ(stable.size(), kt.size())
+                << "stage " << i << ", " << threads << " threads";
+            EXPECT_EQ(images.size(), kt.size())
+                << "stage " << i << ", " << threads << " threads";
+            EXPECT_FALSE(kt.is_empty() && i >= 2);
+        }
+    }
+}
+
 TEST(TerminatingSubdivision, ShardedPlainSubdivisionMatchesSequential) {
     const auto never = [](const Simplex&) { return false; };
     const auto base = topo::ChromaticComplex::standard_simplex(2);
