@@ -7,6 +7,7 @@
 #include <mutex>
 #include <queue>
 #include <random>
+#include <span>
 #include <thread>
 #include <unordered_set>
 
@@ -82,56 +83,135 @@ bool is_cancelled(const exec::CancelToken* cancel) {
 }
 
 /// Initial candidate lists for every domain vertex, computed once per
-/// solve: the candidate_order closures can be expensive (exact rational
+/// solve: the order_candidates closures can be expensive (exact rational
 /// geometry in the L_t pipeline), and portfolio threads all start from
 /// the same base order.
 using DomainMap = std::unordered_map<VertexId, std::vector<VertexId>>;
 
-/// Each vertex's candidates — the fixed value, or the caller's candidate
-/// order, or all color-matching codomain vertices in id order — filtered
-/// by the vertex's own constraint complex. One sharded pass writes each
-/// vertex's candidate list and allowed() reference into its own slot;
-/// then, serially, the filter reads dense vertex flags: one table for
-/// the codomain and one per distinct allowed() complex, keyed by the
-/// returned reference (stable for the whole solve by the problem
-/// contract). Candidate values must be vertices of the codomain: the
-/// naive engine would reject strays through the 0-simplex constraints,
-/// but the FC engine's adjacency index only carries dimension >= 1, so
-/// filter here for both. Polls `cancel` once per vertex (before its
-/// candidate_order call) and once after the pass; nullopt when it
-/// fired.
+/// The fixed assignments, dense over the domain's vertex ids (decompose
+/// has checked that every fixed vertex is one of them).
+struct FixedValues {
+    std::vector<char> is_fixed;
+    std::vector<VertexId> value;
+
+    FixedValues(const ChromaticMapProblem& problem,
+                const std::vector<VertexId>& vertices) {
+        const std::size_t size =
+            vertices.empty() ? 0 : std::size_t{vertices.back()} + 1;
+        is_fixed.assign(size, 0);
+        value.assign(size, 0);
+        for (const auto& [v, w] : problem.fixed) {
+            is_fixed[v] = 1;
+            value[v] = w;
+        }
+    }
+};
+
+/// The candidates of a free vertex v that has fixed neighbours: the
+/// color-matching codomain vertices equal or adjacent to every fixed
+/// neighbour's image, in id order. A value outside this set cannot
+/// complete the edge to some fixed neighbour into a codomain simplex, so
+/// root propagation would drop it (this is its adjacency pre-filter);
+/// nullopt when v has no fixed neighbour.
+std::optional<std::vector<VertexId>> pool_near_fixed(
+    const ChromaticMapProblem& problem, const topo::AdjacencyIndex& index,
+    const FixedValues& fixed, const topo::AdjacencyIndex& codomain_adjacency,
+    const std::vector<char>& in_codomain, VertexId v) {
+    // The fixed neighbours' images, the one with the fewest neighbours
+    // first: its closed neighbourhood is the pool's superset.
+    std::vector<VertexId> images;
+    for (VertexId x : index.neighbors(v)) {
+        if (fixed.is_fixed[x] != 0) images.push_back(fixed.value[x]);
+    }
+    if (images.empty()) return std::nullopt;
+    std::ranges::sort(images);
+    images.erase(std::unique(images.begin(), images.end()), images.end());
+    const auto degree = [&](VertexId w) {
+        return codomain_adjacency.neighbors(w).size();
+    };
+    std::swap(images.front(), *std::ranges::min_element(images, {}, degree));
+    const auto near = [&](VertexId image, VertexId w) {
+        return w == image ||
+               std::ranges::binary_search(codomain_adjacency.neighbors(image),
+                                          w);
+    };
+    const topo::Color color = problem.domain->color(v);
+    std::vector<VertexId> pool = codomain_adjacency.neighbors(images.front());
+    pool.insert(std::ranges::upper_bound(pool, images.front()),
+                images.front());
+    std::erase_if(pool, [&](VertexId w) {
+        if (!has_vertex(in_codomain, w) ||
+            problem.codomain->color(w) != color) {
+            return true;
+        }
+        return !std::ranges::all_of(
+            std::span(images).subspan(1),
+            [&](VertexId image) { return near(image, w); });
+    });
+    return pool;
+}
+
+/// Each vertex's candidates — the fixed value, or the free vertex's
+/// candidate pool ordered by order_candidates when present — filtered by
+/// the vertex's own constraint complex. A free vertex's pool is every
+/// color-matching codomain vertex, except that with
+/// `codomain_adjacency` (the shipped engine, when some vertex is fixed)
+/// one with fixed neighbours gets only pool_near_fixed: root propagation
+/// keeps the same values in the same order either way, because the
+/// order is a strict total order on candidates (see order_candidates).
+/// One sharded pass writes each vertex's candidate list and allowed()
+/// reference into its own slot; then, serially, the filter reads dense
+/// vertex flags: one table for the codomain and one per distinct
+/// allowed() complex, keyed by the returned reference (stable for the
+/// whole solve by the problem contract). Fixed values must be vertices
+/// of the codomain: the naive engine would reject strays through the
+/// 0-simplex constraints, but the FC engine's adjacency index only
+/// carries dimension >= 1, so filter here for both. Polls `cancel` once
+/// per vertex (before its order_candidates call) and once after the
+/// pass; nullopt when it fired.
 std::optional<DomainMap> all_initial_domains(
-    const ChromaticMapProblem& problem, const std::vector<VertexId>& vertices,
+    const ChromaticMapProblem& problem, const topo::AdjacencyIndex& index,
+    const std::vector<VertexId>& vertices, const FixedValues& fixed,
+    const topo::AdjacencyIndex* codomain_adjacency,
     const exec::CancelToken* cancel) {
-    // Color-matching codomain vertices in id order, for vertices with
-    // neither a fixed value nor a candidate order (every fixed vertex is
-    // a domain vertex, so some vertex is free iff fewer are fixed).
+    // Color-matching codomain vertices in id order, for free vertices
+    // without a pool near fixed ones (every fixed vertex is a domain
+    // vertex, so some vertex is free iff fewer are fixed).
     std::map<topo::Color, std::vector<VertexId>> by_color;
-    if (!problem.candidate_order && problem.fixed.size() < vertices.size()) {
+    if (problem.fixed.size() < vertices.size()) {
         for (VertexId w : problem.codomain->vertex_ids()) {
             by_color[problem.codomain->color(w)].push_back(w);
         }
     }
+    const std::vector<char> in_codomain =
+        vertex_flags(problem.codomain->complex());
     std::vector<std::vector<VertexId>> candidates(vertices.size());
     std::vector<const SimplicialComplex*> allowed(vertices.size(), nullptr);
     for_each_vertex(vertices.size(), [&](std::size_t i) {
         if (is_cancelled(cancel)) return;
         const VertexId v = vertices[i];
-        const auto fit = problem.fixed.find(v);
-        if (fit != problem.fixed.end()) {
-            candidates[i] = {fit->second};
-        } else if (problem.candidate_order) {
-            candidates[i] = problem.candidate_order(v);
-        } else {
-            const auto it = by_color.find(problem.domain->color(v));
-            if (it != by_color.end()) candidates[i] = it->second;
-        }
         allowed[i] = &problem.allowed(Simplex{v});
+        if (fixed.is_fixed[v] != 0) {
+            candidates[i] = {fixed.value[v]};
+            return;
+        }
+        std::optional<std::vector<VertexId>> pool;
+        if (codomain_adjacency != nullptr) {
+            pool = pool_near_fixed(problem, index, fixed, *codomain_adjacency,
+                                   in_codomain, v);
+        }
+        if (pool.has_value()) {
+            candidates[i] = std::move(*pool);
+        } else if (const auto it = by_color.find(problem.domain->color(v));
+                   it != by_color.end()) {
+            candidates[i] = it->second;
+        }
+        if (problem.order_candidates) {
+            problem.order_candidates(v, candidates[i]);
+        }
     });
     if (is_cancelled(cancel)) return std::nullopt;
 
-    const std::vector<char> in_codomain =
-        vertex_flags(problem.codomain->complex());
     std::unordered_map<const SimplicialComplex*, std::vector<char>> in_allowed;
     DomainMap domains;
     domains.reserve(vertices.size());
@@ -1000,20 +1080,24 @@ enum class RootOutcome { kPropagated, kConflict, kCancelled };
 /// vertices are all fixed, the image test (the image, with c at u, is a
 /// codomain simplex inside allowed(sigma)). A fixed u tests only the
 /// simplices it is the largest vertex of, so each all-fixed simplex is
-/// checked once. Any empty domain is a conflict (no map exists): a fixed
-/// vertex whose value failed, and a free vertex with no candidate left,
-/// filtered or not. So on kPropagated every domain is non-empty and a
-/// fixed vertex's domain is exactly its value, which the search
-/// (fc_solve_component) relies on. This
-/// is what assigning the fixed vertices one by one with forward checking
-/// computes: each simplex with exactly one unassigned vertex filters it
-/// exactly once (when its last fixed vertex is assigned), and the
-/// filters commute. On kPropagated, `pruned` holds every vertex's domain
-/// in base order. Polls `cancel` once per vertex and once after the
-/// pass; a cancelled pass is kCancelled even if a unit found a conflict.
+/// checked once. A free u's base values are already equal or adjacent
+/// to every fixed neighbour's image (all_initial_domains), which is all
+/// a cheap adjacency pre-filter could reject here. Any empty domain is
+/// a conflict (no map exists): a fixed vertex whose value failed, and a
+/// free vertex with no candidate left, filtered or not. So on
+/// kPropagated every domain is non-empty and a fixed vertex's domain is
+/// exactly its value, which the search (fc_solve_component) relies on.
+/// This is what assigning the fixed vertices one by one with forward
+/// checking computes: each simplex with exactly one unassigned vertex
+/// filters it exactly once (when its last fixed vertex is assigned),
+/// and the filters commute. On kPropagated, `pruned` holds every
+/// vertex's domain in base order. Polls `cancel` once per vertex and
+/// once after the pass; a cancelled pass is kCancelled even if a unit
+/// found a conflict.
 RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
                                      const topo::AdjacencyIndex& index,
                                      const std::vector<VertexId>& vertices,
+                                     const FixedValues& fixed,
                                      const DomainMap& base_domains,
                                      const exec::CancelToken* cancel,
                                      DomainMap& pruned) {
@@ -1024,31 +1108,16 @@ RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
         pruned = base_domains;
         return RootOutcome::kPropagated;
     }
-    // Dense fixed values over the domain's vertex ids (decompose has
-    // checked that every fixed vertex is one of them).
-    const std::size_t size = std::size_t{vertices.back()} + 1;
-    std::vector<char> is_fixed(size, 0);
-    std::vector<VertexId> fixed_value(size, 0);
-    for (const auto& [v, w] : problem.fixed) {
-        is_fixed[v] = 1;
-        fixed_value[v] = w;
-    }
-    // The codomain's 1-skeleton: a value that neither equals nor
-    // neighbors every fixed image vertex cannot complete a codomain
-    // simplex, so it fails without the exact probe (a value equal to an
-    // image vertex collapses with it in the Simplex).
-    const topo::AdjacencyIndex codomain_adjacency(problem.codomain->complex(),
-                                                  false);
-
     std::vector<std::vector<VertexId>> live(vertices.size());
     std::atomic<bool> conflict{false};
     for_each_vertex(vertices.size(), [&](std::size_t i) {
         if (is_cancelled(cancel) || conflict) return;
         const VertexId u = vertices[i];
-        const bool u_fixed = is_fixed[u] != 0;
+        const bool u_fixed = fixed.is_fixed[u] != 0;
         std::vector<VertexId> values = base_domains.at(u);
         std::vector<VertexId> image;
         for (const Simplex* sigma : index.incident_simplices(u)) {
+            if (values.empty()) break;
             if (u_fixed && sigma->vertices().back() != u) continue;
             image.clear();
             std::size_t hole = 0;
@@ -1056,8 +1125,8 @@ RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
                 if (x == u) {
                     hole = image.size();
                     image.push_back(u);  // overwritten per candidate
-                } else if (is_fixed[x] != 0) {
-                    image.push_back(fixed_value[x]);
+                } else if (fixed.is_fixed[x] != 0) {
+                    image.push_back(fixed.value[x]);
                 } else {
                     break;
                 }
@@ -1065,20 +1134,12 @@ RootOutcome propagate_fixed_snapshot(const ChromaticMapProblem& problem,
             if (image.size() != sigma->size()) continue;
             const SimplicialComplex* allowed = nullptr;
             std::erase_if(values, [&](VertexId c) {
-                for (std::size_t j = 0; j < image.size(); ++j) {
-                    if (j == hole || image[j] == c) continue;
-                    if (!std::ranges::binary_search(
-                            codomain_adjacency.neighbors(image[j]), c)) {
-                        return true;
-                    }
-                }
                 image[hole] = c;
                 const Simplex img(image);
                 if (!problem.codomain->contains(img)) return true;
                 if (allowed == nullptr) allowed = &problem.allowed(*sigma);
                 return !allowed->contains(img);
             });
-            if (values.empty()) break;
         }
         if (values.empty()) {
             conflict = true;
@@ -1421,10 +1482,19 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
                                      !config.naive_engine);
     const std::vector<VertexId> vertices = problem.domain->vertex_ids();
     const Decomposition dec = decompose(problem, index, vertices);
+    const FixedValues fixed(problem, vertices);
+    // The codomain's 1-skeleton narrows the shipped engine's candidate
+    // pools next to fixed vertices (pool_near_fixed); the naive
+    // reference keeps the full pools.
+    std::optional<topo::AdjacencyIndex> codomain_adjacency;
+    if (!config.naive_engine && !problem.fixed.empty()) {
+        codomain_adjacency.emplace(problem.codomain->complex(), false);
+    }
     // A set-up cut short by `config.cancel` answers like a cancelled
     // search: no map, not exhausted.
-    const std::optional<DomainMap> initial =
-        all_initial_domains(problem, vertices, config.cancel);
+    const std::optional<DomainMap> initial = all_initial_domains(
+        problem, index, vertices, fixed,
+        codomain_adjacency ? &*codomain_adjacency : nullptr, config.cancel);
     if (!initial.has_value()) return ChromaticMapResult{};
     const DomainMap& base_domains = *initial;
 
@@ -1432,7 +1502,7 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
     // the naive reference keeps the raw domains).
     DomainMap propagated_domains;
     if (!config.naive_engine) {
-        switch (propagate_fixed_snapshot(problem, index, vertices,
+        switch (propagate_fixed_snapshot(problem, index, vertices, fixed,
                                          base_domains, config.cancel,
                                          propagated_domains)) {
             case RootOutcome::kPropagated:

@@ -58,6 +58,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/nogood_store.h"
@@ -104,13 +105,22 @@ struct ChromaticMapProblem {
     /// @brief Pre-assigned vertices (may be empty).
     std::unordered_map<VertexId, VertexId> fixed;
 
-    /// @brief Optional candidate ordering: given a domain vertex, an
-    /// ordered list of codomain vertices to try (already
-    /// color-matching). When absent, all color-matching vertices allowed
-    /// at the vertex are tried.
+    /// @brief Optional candidate ordering: permutes, in place, the
+    /// candidates the solver hands it for a free domain vertex (distinct
+    /// color-matching codomain vertices, in id order) into the order to
+    /// try them. When absent, candidates are tried in id order.
+    /// @note The solver supplies only candidates that can survive: the
+    /// shipped engine hands a free vertex with fixed neighbours just the
+    /// codomain vertices equal or adjacent to every fixed neighbour's
+    /// image (root propagation's adjacency pre-filter); the naive engine
+    /// and a vertex with no fixed neighbour get every color-matching
+    /// codomain vertex. So the order must come from a strict total order
+    /// on candidates (a sort with every tie broken, say by vertex id):
+    /// then a subset is ordered as the full set restricted to it, and
+    /// both engines see the same relative order.
     /// @note Every solve may call it from several threads at once (the
     /// sharded set-up), so it must be thread-safe.
-    std::function<std::vector<VertexId>(VertexId)> candidate_order;
+    std::function<void(VertexId, std::span<VertexId>)> order_candidates;
 
     /// @brief Optional cross-solve learning pool (core/nogood_store.h).
     /// When set together with `nogood_scope` and `pool_var_key`, every
@@ -134,8 +144,8 @@ struct ChromaticMapProblem {
 
 /// How each variable's candidate list is ordered.
 enum class ValueOrder {
-    /// As given: `candidate_order` when present, else codomain vertex-id
-    /// order restricted to matching colors.
+    /// As given: `order_candidates` when present, else codomain
+    /// vertex-id order.
     kGiven,
     /// Deterministic shuffle of the given order from `SolverConfig::seed`
     /// (portfolio threads perturb the seed per thread).
@@ -214,7 +224,7 @@ struct SolverConfig {
     /// a spent backtrack budget (`exhausted` comes back false). The
     /// set-up polls it too: in each of its two sharded passes (initial
     /// domains, then root propagation) once per domain vertex, before
-    /// that vertex's candidate_order or constraint calls, and once
+    /// that vertex's order_candidates or constraint calls, and once
     /// after each pass. A set-up cut short returns no map and is not
     /// exhausted; one cut during the domain pass never starts root
     /// propagation. Not owned; must outlive the solve. Null = never

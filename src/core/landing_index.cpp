@@ -13,10 +13,14 @@ LandingIndex::LandingIndex(const TerminatingSubdivision& tsub)
     require(width_ <= gact::kMaxProcesses,
             "LandingIndex: base vertex ids must fit a ProcessSet");
 
+    // Each stage's record holds its simplices with their stage, so the
+    // entries need no stable_since lookup.
     const auto& complex = tsub.stable_complex().complex();
     entries_.reserve(complex.size());
-    for (const Simplex& s : complex.simplices()) {
-        entries_.push_back(Entry{s, {}, tsub.stable_since(s)});
+    for (std::size_t k = 0; k < tsub.stages(); ++k) {
+        for (const Simplex& s : tsub.stage_record(k)) {
+            entries_.push_back(Entry{s, {}, k});
+        }
     }
     std::sort(entries_.begin(), entries_.end(),
               [](const Entry& a, const Entry& b) {

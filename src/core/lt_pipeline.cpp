@@ -6,6 +6,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/require.h"
@@ -340,78 +341,66 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
     }
 
     if (guidance != LtGuidance::kNone) {
-        // Candidate order: L vertices of the right color, nearest (to the
-        // radial projection of the vertex when requested, else to the
-        // vertex itself) first. The per-color candidate lists (with their
-        // positions) are precomputed here: vertex_ids() walks the whole
-        // output complex, and the closure runs once per domain vertex —
-        // tens of thousands of times on the heavy registry scenarios.
-        // The distance computation additionally rescales every candidate
-        // coordinate to one shared denominator, so each closure call
-        // measures distances in pure integer arithmetic. At a common
-        // denominator the scaled distances order exactly like the
-        // rationals they stand for (ties broken by vertex id either way);
-        // if an lcm would overflow the headroom, the closure falls back
-        // to exact Rational distances — same order, just slower.
+        // Candidate order: nearest (to the radial projection of the
+        // vertex when requested, else to the vertex itself) first, ties
+        // by vertex id — a strict total order, as order_candidates
+        // requires. The L vertex positions are copied here, indexed by
+        // vertex id: the closure runs once per free domain vertex, tens
+        // of thousands of times on the heavy registry scenarios, on the
+        // few candidates the solver hands it. The distance computation
+        // additionally rescales every L coordinate to one shared
+        // denominator, so each closure call measures distances in pure
+        // integer arithmetic. At a common denominator the scaled
+        // distances order exactly like the rationals they stand for; if
+        // an lcm would overflow the headroom, the closure falls back to
+        // exact Rational distances — same order, just slower.
         struct Guide {
             // The radial projection's geometry (kRadial only), built
             // here once instead of once per closure call.
             std::optional<RadialGeometry> radial;
-            std::map<topo::Color,
-                     std::vector<std::pair<BaryPoint, VertexId>>> exact;
-            // Entry-for-entry with `exact`: the same coordinates as
-            // numerators over the shared denominator `den`.
-            std::map<topo::Color,
-                     std::vector<std::vector<
-                         std::pair<VertexId, std::int64_t>>>> scaled;
+            // Per L vertex id: its exact position, and the same
+            // coordinates as numerators over the shared denominator
+            // `den`.
+            std::vector<BaryPoint> exact;
+            std::vector<std::vector<std::pair<VertexId, std::int64_t>>>
+                scaled;
             std::int64_t den = 1;
             bool use_scaled = true;
         };
         auto guide = std::make_shared<Guide>();
         if (guidance == LtGuidance::kRadial) guide->radial.emplace(task);
-        for (VertexId w : task.task.outputs.vertex_ids()) {
-            guide->exact[task.task.outputs.color(w)].emplace_back(
-                task.subdivision.position(w), w);
-        }
-        for (const auto& [color, cands] : guide->exact) {
-            for (const auto& [pos, w] : cands) {
-                for (const auto& [bv, r] : pos.coords()) {
+        const std::vector<VertexId> l_vertices =
+            task.task.outputs.vertex_ids();
+        const std::size_t size =
+            l_vertices.empty() ? 0 : std::size_t{l_vertices.back()} + 1;
+        guide->exact.resize(size);
+        for (VertexId w : l_vertices) {
+            guide->exact[w] = task.subdivision.position(w);
+            for (const auto& [bv, r] : guide->exact[w].coords()) {
+                if (guide->den != 0) {
                     guide->den = lcm_capped(guide->den, r.den());
-                    if (guide->den == 0) break;
                 }
-                if (guide->den == 0) break;
             }
-            if (guide->den == 0) break;
         }
         if (guide->den == 0) {
             guide->use_scaled = false;
             guide->den = 1;
         } else {
-            for (const auto& [color, cands] : guide->exact) {
-                auto& lists = guide->scaled[color];
-                lists.reserve(cands.size());
-                for (const auto& [pos, w] : cands) {
-                    std::vector<std::pair<VertexId, std::int64_t>> sc;
-                    sc.reserve(pos.coords().size());
-                    for (const auto& [bv, r] : pos.coords()) {
-                        sc.emplace_back(bv,
-                                        r.num() * (guide->den / r.den()));
-                    }
-                    lists.push_back(std::move(sc));
+            guide->scaled.resize(size);
+            for (VertexId w : l_vertices) {
+                auto& sc = guide->scaled[w];
+                sc.reserve(guide->exact[w].coords().size());
+                for (const auto& [bv, r] : guide->exact[w].coords()) {
+                    sc.emplace_back(bv, r.num() * (guide->den / r.den()));
                 }
             }
         }
-        problem.candidate_order = [&tsub, guide](VertexId v) {
-            const topo::Color color = tsub.stable_complex().color(v);
+        problem.order_candidates = [&tsub, guide](VertexId v,
+                                                  std::span<VertexId> cands) {
             BaryPoint target = tsub.stable_position(v);
             if (guide->radial.has_value()) {
                 target = guide->radial->project(target);
             }
-            std::vector<VertexId> order;
-            const auto it = guide->exact.find(color);
-            if (it == guide->exact.end()) return order;
-            const auto& cands = it->second;
-            order.reserve(cands.size());
             if (guide->use_scaled) {
                 // Extend the shared denominator to cover this target.
                 std::int64_t dv = guide->den;
@@ -426,11 +415,10 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
                     for (const auto& [bv, r] : target.coords()) {
                         tgt.emplace_back(bv, r.num() * (dv / r.den()));
                     }
-                    const auto& scaled = guide->scaled.find(color)->second;
                     std::vector<std::pair<std::int64_t, VertexId>> scored;
                     scored.reserve(cands.size());
-                    for (std::size_t i = 0; i < cands.size(); ++i) {
-                        const auto& cc = scaled[i];
+                    for (VertexId w : cands) {
+                        const auto& cc = guide->scaled[w];
                         std::int64_t dist = 0;
                         std::size_t a = 0, b = 0;
                         while (a < cc.size() && b < tgt.size()) {
@@ -450,21 +438,24 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
                         }
                         for (; a < cc.size(); ++a) dist += cc[a].second * f;
                         for (; b < tgt.size(); ++b) dist += tgt[b].second;
-                        scored.emplace_back(dist, cands[i].second);
+                        scored.emplace_back(dist, w);
                     }
                     std::sort(scored.begin(), scored.end());
-                    for (const auto& [dist, w] : scored) order.push_back(w);
-                    return order;
+                    for (std::size_t i = 0; i < scored.size(); ++i) {
+                        cands[i] = scored[i].second;
+                    }
+                    return;
                 }
             }
             std::vector<std::pair<Rational, VertexId>> scored;
             scored.reserve(cands.size());
-            for (const auto& [pos, w] : cands) {
-                scored.emplace_back(target.l1_distance(pos), w);
+            for (VertexId w : cands) {
+                scored.emplace_back(target.l1_distance(guide->exact[w]), w);
             }
             std::sort(scored.begin(), scored.end());
-            for (const auto& [dist, w] : scored) order.push_back(w);
-            return order;
+            for (std::size_t i = 0; i < scored.size(); ++i) {
+                cands[i] = scored[i].second;
+            }
         };
     }
     return problem;

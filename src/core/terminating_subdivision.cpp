@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <span>
 
 #include "exec/for_index.h"
@@ -19,6 +21,62 @@ namespace {
 constexpr VertexId kNoGlobal = std::numeric_limits<VertexId>::max();
 
 }  // namespace
+
+/// The facets through each vertex (its star), as ascending indices into
+/// the stage's facets(): vertex v's are facet[begin[v] .. begin[v + 1]).
+/// Built once per stage; carry_into and the scan both read it.
+struct TerminatingSubdivision::StarIndex {
+    std::vector<std::uint32_t> begin;
+    std::vector<std::uint32_t> facet;
+
+    explicit StarIndex(const SubdividedComplex& cx) {
+        const std::vector<Simplex>& facets = cx.facets();
+        begin.assign(cx.vertex_count() + 1, 0);
+        for (const Simplex& f : facets) {
+            for (VertexId v : f.vertices()) ++begin[v + 1];
+        }
+        for (std::size_t v = 0; v + 1 < begin.size(); ++v) {
+            begin[v + 1] += begin[v];
+        }
+        facet.resize(begin.back());
+        std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
+        for (std::size_t fi = 0; fi < facets.size(); ++fi) {
+            for (VertexId v : facets[fi].vertices()) {
+                facet[next[v]++] = static_cast<std::uint32_t>(fi);
+            }
+        }
+    }
+
+    std::span<const std::uint32_t> of(VertexId v) const {
+        return {facet.data() + begin[v], facet.data() + begin[v + 1]};
+    }
+
+    /// The first facet, in facet order, that holds the simplex with the
+    /// sorted vertices `s`: searched in the star of its vertex with the
+    /// fewest facets. `s` must be a face of some facet.
+    std::uint32_t first_facet(std::span<const VertexId> s,
+                              const std::vector<Simplex>& facets) const {
+        VertexId pivot = s[0];
+        for (VertexId v : s) {
+            if (of(v).size() < of(pivot).size()) pivot = v;
+        }
+        for (std::uint32_t fi : of(pivot)) {
+            const auto f = facets[fi].vertices();
+            if (std::includes(f.begin(), f.end(), s.begin(), s.end())) {
+                return fi;
+            }
+        }
+        throw invariant_error("TerminatingSubdivision: face of no facet");
+    }
+};
+
+/// stable_since's lookup: each K(T) simplex's stage.
+struct TerminatingSubdivision::SinceLookup {
+    std::once_flag built;
+    std::unordered_map<Simplex, std::size_t, topo::SimplexSetHash,
+                       topo::SimplexSetEq>
+        stage;
+};
 
 VertexId TerminatingSubdivision::global_id(VertexId v) {
     VertexId& id = global_of_[v];
@@ -62,7 +120,7 @@ bool TerminatingSubdivision::is_stable(const Simplex& t) const {
 }
 
 std::vector<VertexId> TerminatingSubdivision::carry_into(
-    const SubdividedComplex& next) const {
+    const SubdividedComplex& next, const StarIndex& star) const {
     // A vertex p of C_{k-1} survives in C_k as its (p, {p}) vertex, at
     // p's position and with p's color.
     std::vector<VertexId> carried(next.vertex_count(), kNoGlobal);
@@ -78,17 +136,9 @@ std::vector<VertexId> TerminatingSubdivision::carry_into(
     }
 
     // Sigma_{k-1} (= K(T)) persists in C_k: each K(T) simplex, in C_k's
-    // ids, is a face of some facet of C_k. The facets through each
-    // vertex (its star) are indexed once; a simplex is tested against
+    // ids, is a face of some facet of C_k. A simplex is tested against
     // the star of its vertex with the fewest facets.
     const std::vector<Simplex>& facets = next.facets();
-    std::vector<std::vector<std::uint32_t>> star(next.vertex_count());
-    for (std::size_t fi = 0; fi < facets.size(); ++fi) {
-        for (VertexId v : facets[fi].vertices()) {
-            star[v].push_back(static_cast<std::uint32_t>(fi));
-        }
-    }
-    const auto star_size = [&](VertexId v) { return star[v].size(); };
     std::vector<VertexId> local;
     for (const Simplex& s : stable_.complex().simplices()) {
         local.clear();
@@ -98,8 +148,9 @@ std::vector<VertexId> TerminatingSubdivision::carry_into(
             local.push_back(local_of[g]);
         }
         std::sort(local.begin(), local.end());
-        const VertexId pivot = *std::ranges::min_element(local, {}, star_size);
-        ensure(std::ranges::any_of(star[pivot],
+        const VertexId pivot = *std::ranges::min_element(
+            local, {}, [&](VertexId v) { return star.of(v).size(); });
+        ensure(std::ranges::any_of(star.of(pivot),
                                    [&](std::uint32_t fi) {
                                        const auto f = facets[fi].vertices();
                                        return std::includes(
@@ -117,9 +168,11 @@ void TerminatingSubdivision::advance(
     unsigned num_threads) {
     require(!base_.is_empty(),
             "TerminatingSubdivision: advance on an empty placeholder");
+    std::optional<StarIndex> star;
     if (stages_ == 0) {
         newest_ = SubdividedComplex::identity(base_);
         global_of_.assign(newest_.vertex_count(), kNoGlobal);
+        star.emplace(newest_);
     } else {
         // Build C_k: partial chromatic subdivision of C_{k-1} terminating
         // Sigma_{k-1}. C_{k-1} is released once its ids are carried:
@@ -127,48 +180,65 @@ void TerminatingSubdivision::advance(
         // complexes dominated a retained subdivision's memory.
         SubdividedComplex next = newest_.chromatic_subdivision_with_termination(
             [this](const Simplex& t) { return is_stable(t); }, num_threads);
-        std::vector<VertexId> carried = carry_into(next);
+        star.emplace(next);
+        std::vector<VertexId> carried = carry_into(next, *star);
         newest_ = std::move(next);
         global_of_ = std::move(carried);
     }
-    const std::size_t stage = stages_++;
+    ++stages_;
     const SubdividedComplex& cx = newest_;
 
     // Collect Sigma_k: previously stable simplices persist; new ones come
-    // from the predicate. The predicate scan is per-facet work over
-    // immutable state, so it shards as index-slotted tasks on the
-    // resident scheduler; the selected faces are merged in facet order,
-    // which is the sequential scan's order.
+    // from the predicate. Each face is examined once, by the first facet
+    // (in facet order) that holds it; the predicate is a function of the
+    // face, so K(T) gets the same simplices in the same order as if
+    // every facet examined all its faces and repeats were skipped. The
+    // scan is per-facet work over immutable state, so it shards as
+    // index-slotted tasks on the resident scheduler; the selected faces
+    // are merged in facet order, which is the sequential scan's order.
     const std::vector<Simplex>& facets = cx.facets();
     std::vector<std::vector<Simplex>> selected(facets.size());
     exec::for_index(
         exec::Scheduler::shared(), facets.size(), num_threads,
         [&](std::size_t fi) {
             for (const Simplex& s : facets[fi].faces()) {
+                if (star->first_facet(s.vertices(), facets) != fi) continue;
                 if (is_stable(s)) continue;
                 if (stabilize(cx, s)) selected[fi].push_back(s);
             }
         });
 
-    // Record each newly stable simplex into K(T), stamping
-    // first-stabilization stages (faces stabilize with their cofaces).
-    // K(T)'s closure walk inserts exactly the faces not yet in K(T), and
-    // K(T) and stable_since_ have the same keys, so stamping what the
-    // walk inserts stamps exactly the simplices stable for the first
-    // time. A selected simplex that an earlier one already covered (a
-    // face of it, or selected by two facets) is in K(T) by then: its
-    // vertices all have global ids, and add_simplex leaves K(T) as it
-    // is. So K(T)'s add_simplex sequence is the merge order.
-    const std::function<void(const Simplex&)> stamp =
-        [&](const Simplex& t) { stable_since_.emplace(t, stage); };
+    // Record the newly stable simplices into K(T), in merge order. Each
+    // is new to K(T) and selected once. Simplex::faces() lists every
+    // face before its cofaces, and the first facet holding a simplex
+    // holds its faces, so a face-closed rule has put every face of a
+    // selected simplex into K(T) or ahead of it in this order: each is
+    // attached over its boundary, with no closure walk. First the ids
+    // (interning new vertices in merge order), then the inserts.
+    std::vector<Simplex> record;
     std::vector<VertexId> verts;
     for (const std::vector<Simplex>& faces : selected) {
         for (const Simplex& s : faces) {
             verts.clear();
             for (VertexId v : s.vertices()) verts.push_back(global_id(v));
-            stable_.add_simplex_trusted(Simplex(verts), stamp);
+            record.emplace_back(verts);
         }
     }
+    selected = {};
+    for (const Simplex& g : record) {
+        bool added = false;
+        try {
+            added = stable_.attach_trusted(g);
+        } catch (const precondition_error&) {
+            throw precondition_error(
+                "TerminatingSubdivision: the stabilize rule selected " +
+                g.to_string() + " (global ids) without one of its faces; "
+                "it must be closed under faces");
+        }
+        ensure(added, "TerminatingSubdivision: a simplex was recorded twice");
+    }
+    stage_record_.push_back(std::move(record));
+    since_ = std::make_shared<SinceLookup>();
 }
 
 const SubdividedComplex& TerminatingSubdivision::complex_at(
@@ -197,10 +267,25 @@ Simplex TerminatingSubdivision::stable_carrier(
 
 std::size_t TerminatingSubdivision::stable_since(
     const Simplex& global_simplex) const {
-    const auto it = stable_since_.find(global_simplex);
-    require(it != stable_since_.end(),
+    require(since_ != nullptr, "TerminatingSubdivision: simplex is not stable");
+    std::call_once(since_->built, [this] {
+        since_->stage.reserve(stable_.complex().size());
+        for (std::size_t k = 0; k < stage_record_.size(); ++k) {
+            for (const Simplex& s : stage_record_[k]) {
+                since_->stage.emplace(s, k);
+            }
+        }
+    });
+    const auto it = since_->stage.find(global_simplex);
+    require(it != since_->stage.end(),
             "TerminatingSubdivision: simplex is not stable");
     return it->second;
+}
+
+const std::vector<Simplex>& TerminatingSubdivision::stage_record(
+    std::size_t k) const {
+    require(k < stages(), "TerminatingSubdivision: stage not built");
+    return stage_record_[k];
 }
 
 std::optional<VertexId> TerminatingSubdivision::find_stable_vertex(

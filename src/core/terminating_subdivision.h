@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 
 #include "topology/subdivision.h"
 
@@ -42,11 +43,17 @@ public:
     explicit TerminatingSubdivision(const ChromaticComplex& base);
 
     /// Stage k = stages(): build C_k, then mark as stable every *not yet
-    /// stable* simplex of C_k selected by `stabilize` (must be closed
-    /// under faces together with the already-stable simplices) and record
-    /// Sigma_k into K(T). C_0 is the base; C_k for k > 0 is the partial
+    /// stable* simplex of C_k selected by `stabilize` and record Sigma_k
+    /// into K(T). C_0 is the base; C_k for k > 0 is the partial
     /// chromatic subdivision of C_{k-1} terminating Sigma_{k-1}, so every
     /// stage complex built is scanned in the same call.
+    ///
+    /// `stabilize` must be a function of the stage complex and the
+    /// simplex, and closed under faces together with the already-stable
+    /// simplices: every face of a selected simplex is stable or selected.
+    /// The record relies on it and enforces it: a selected simplex with
+    /// a face that is neither throws precondition_error, after which the
+    /// subdivision must not be used.
     ///
     /// `num_threads > 1` shards the stage into per-facet work units on a
     /// self-scheduling pool: the subdivision build (see
@@ -90,8 +97,14 @@ public:
     /// stable simplex from this many rounds on: stable simplices stand for
     /// "outputs produced after stage-many IS layers" (Section 6.1), and
     /// firing earlier breaks Definition 4.1 (2) in runs that share the
-    /// early views but land elsewhere.
+    /// early views but land elsewhere. The first read after an advance()
+    /// builds the lookup from stage_record(); concurrent reads are safe.
     std::size_t stable_since(const Simplex& global_simplex) const;
+
+    /// The simplices that stage k added to K(T) (Sigma_k minus
+    /// Sigma_{k-1}, so stable_since is k for each), in K(T)'s insertion
+    /// order: faces before their cofaces.
+    const std::vector<Simplex>& stage_record(std::size_t k) const;
 
     /// The stable facets (maximal stable simplices) of K(T) so far.
     std::vector<Simplex> stable_facets() const {
@@ -116,9 +129,13 @@ private:
     /// only, so the scan and the subdivision build call it concurrently.
     bool is_stable(const Simplex& t) const;
 
+    /// The facets of a stage complex through each of its vertices.
+    struct StarIndex;
+
     /// Carry the global ids from newest_ = C_{k-1} to `next` = C_k and
-    /// check that Sigma_{k-1} persists in C_k.
-    std::vector<VertexId> carry_into(const SubdividedComplex& next) const;
+    /// check that Sigma_{k-1} persists in C_k; `star` indexes `next`.
+    std::vector<VertexId> carry_into(const SubdividedComplex& next,
+                                     const StarIndex& star) const;
 
     ChromaticComplex base_;
     // Members are destroyed in reverse order: K(T)'s below go first, then
@@ -140,12 +157,13 @@ private:
     ChromaticComplex stable_;
     std::map<std::pair<BaryPoint, Color>, VertexId> global_index_;
     std::vector<BaryPoint> global_position_;
-    // The stage of every K(T) simplex's first stabilization. Same key set
-    // as stable_: advance() stamps each simplex that K(T)'s closure walk
-    // inserts, as it inserts it.
-    std::unordered_map<Simplex, std::size_t, topo::SimplexSetHash,
-                       topo::SimplexSetEq>
-        stable_since_;
+    // Each stage's record (stage_record): together they hold K(T)'s
+    // simplices once each, in insertion order.
+    std::vector<std::vector<Simplex>> stage_record_;
+    // stable_since's lookup, filled from stage_record_ on its first read;
+    // advance() starts a new one, and copies share it until then.
+    struct SinceLookup;
+    std::shared_ptr<SinceLookup> since_;
 };
 
 }  // namespace gact::core

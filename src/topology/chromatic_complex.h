@@ -36,16 +36,11 @@ public:
                                     std::unordered_map<VertexId, Color> colors);
 
     /// Trusted insertion for accumulating builders (the stable-complex
-    /// accumulator): color v, then add simplices with all their faces,
-    /// without validation. The caller vouches for a proper coloring.
+    /// accumulator): color v, then attach simplices faces first (see
+    /// SimplicialComplex::attach), without validating the coloring. The
+    /// caller vouches for a proper coloring.
     void color_vertex_trusted(VertexId v, Color c) { colors_[v] = c; }
-    /// `on_insert` sees each simplex actually inserted (see
-    /// SimplicialComplex::add_simplex).
-    void add_simplex_trusted(
-        const Simplex& s,
-        const std::function<void(const Simplex&)>& on_insert) {
-        complex_.add_simplex(s, on_insert);
-    }
+    bool attach_trusted(const Simplex& s) { return complex_.attach(s); }
 
     /// The standard n-simplex s: vertices 0..n, vertex i colored i, with
     /// all faces present (paper, Section 3.2).

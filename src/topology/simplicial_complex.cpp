@@ -1,6 +1,7 @@
 #include "topology/simplicial_complex.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -95,15 +96,40 @@ std::pair<SimplexSet::iterator, bool> SimplicialComplex::insert_one(
     return result;
 }
 
-void SimplicialComplex::add_simplex(
-    const Simplex& s, const std::function<void(const Simplex&)>& on_insert) {
+void SimplicialComplex::add_simplex(const Simplex& s) {
     require(!s.empty(), "SimplicialComplex: cannot add the empty simplex");
     if (contains(s)) return;
-    insert_closure(s, on_insert);
+    insert_closure(s);
 }
 
-void SimplicialComplex::insert_closure(
-    const Simplex& s, const std::function<void(const Simplex&)>& on_insert) {
+bool SimplicialComplex::attach(const Simplex& s) {
+    require(!s.empty(), "SimplicialComplex: cannot add the empty simplex");
+    const std::span<const VertexId> sv = s.vertices();
+    if (sv.size() > 1) {
+        // Probe each boundary face through a scratch buffer: sv with a
+        // hole, walked from position 0 to n-1 (as insert_closure does).
+        // Simplices of up to kInline + 1 vertices need no allocation.
+        constexpr std::size_t kInline = 8;
+        std::array<VertexId, kInline> inline_ids{};
+        std::vector<VertexId> heap_ids;
+        VertexId* scratch = inline_ids.data();
+        if (sv.size() - 1 > kInline) {
+            heap_ids.resize(sv.size() - 1);
+            scratch = heap_ids.data();
+        }
+        std::copy(sv.begin() + 1, sv.end(), scratch);
+        const std::span<const VertexId> face(scratch, sv.size() - 1);
+        for (std::size_t i = 0;; ++i) {
+            require(simplices_.find(face) != simplices_.end(),
+                    "SimplicialComplex::attach: a boundary face is missing");
+            if (i + 1 == sv.size()) break;
+            scratch[i] = sv[i];
+        }
+    }
+    return insert_one(Simplex(s)).second;
+}
+
+void SimplicialComplex::insert_closure(const Simplex& s) {
     // Walk the boundary instead of materializing all 2^n - 1 faces up
     // front: a face that is already present has its own closure present
     // (the set is downward closed by construction), so the walk stops at
@@ -134,8 +160,7 @@ void SimplicialComplex::insert_closure(
                 scratch[i] = tv[i];
             }
         }
-        const auto inserted = insert_one(std::move(top));
-        if (on_insert) on_insert(*inserted.first);
+        insert_one(std::move(top));
     }
 }
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -58,12 +57,15 @@ public:
     /// under a vertex map.
     static SimplicialComplex from_closed(std::vector<Simplex> simplices);
 
-    /// Insert a simplex together with all its faces. `on_insert`, when
-    /// set, is called once for each simplex actually inserted (the part
-    /// of the closure not yet present), in insertion order.
-    void add_simplex(
-        const Simplex& s,
-        const std::function<void(const Simplex&)>& on_insert = {});
+    /// Insert a simplex together with all its faces.
+    void add_simplex(const Simplex& s);
+
+    /// Insert a simplex whose boundary faces are all present already:
+    /// one hash insert, no closure walk. For builders that insert a
+    /// face-closed list faces first (Simplex::faces() lists every face
+    /// before its cofaces). Throws precondition_error when a boundary
+    /// face is missing; returns false when `s` was present.
+    bool attach(const Simplex& s);
 
     bool contains(const Simplex& s) const { return simplices_.count(s) != 0; }
     bool contains_vertex(VertexId v) const { return contains(Simplex{v}); }
@@ -129,10 +131,8 @@ public:
 
 private:
     /// Insert `s` (known absent) and whatever part of its face closure
-    /// is missing, reporting each inserted simplex to `on_insert` when
-    /// it is set.
-    void insert_closure(const Simplex& s,
-                        const std::function<void(const Simplex&)>& on_insert);
+    /// is missing.
+    void insert_closure(const Simplex& s);
 
     /// Insert `s` if absent, recording a new 0-simplex in vertices_.
     /// Returns the element and whether it was inserted.

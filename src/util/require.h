@@ -28,12 +28,20 @@ public:
     using std::overflow_error::overflow_error;
 };
 
-/// Check a caller-facing precondition.
+/// Check a caller-facing precondition. The message is built only when
+/// the check fails: a literal passed as `const std::string&` would be
+/// copied into a heap string on every call, passed or not.
+inline void require(bool condition, const char* what) {
+    if (!condition) throw precondition_error(what);
+}
 inline void require(bool condition, const std::string& what) {
     if (!condition) throw precondition_error(what);
 }
 
-/// Check an internal invariant.
+/// Check an internal invariant (messages as for require).
+inline void ensure(bool condition, const char* what) {
+    if (!condition) throw invariant_error(what);
+}
 inline void ensure(bool condition, const std::string& what) {
     if (!condition) throw invariant_error(what);
 }

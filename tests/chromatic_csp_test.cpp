@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <span>
 
 #include "core/lt_pipeline.h"
 #include "engine/report_json.h"
@@ -113,8 +115,10 @@ TEST(ChromaticCsp, CandidateOrderIsRespected) {
     problem.domain = &domain;
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
-    problem.candidate_order = [](topo::VertexId) {
-        return std::vector<topo::VertexId>{20, 10};
+    // Descending ids: 20 before 10.
+    problem.order_candidates = [](topo::VertexId,
+                                  std::span<topo::VertexId> candidates) {
+        std::ranges::sort(candidates, std::greater<>{});
     };
     const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
@@ -258,8 +262,9 @@ TEST_F(SolverEquivalence, CandidateOrderProblem) {
     problem.domain = &domain;
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
-    problem.candidate_order = [](topo::VertexId) {
-        return std::vector<topo::VertexId>{20, 10};
+    problem.order_candidates = [](topo::VertexId,
+                                  std::span<topo::VertexId> candidates) {
+        std::ranges::sort(candidates, std::greater<>{});
     };
     expect_equivalent(problem);
     // The first candidate must win in both engines.
@@ -330,17 +335,18 @@ TEST(ChromaticCspConfig, PortfolioAgreesOnUnsatisfiable) {
 }
 
 TEST(ChromaticCspConfig, StrayCandidatesRejectedByBothEngines) {
-    // A candidate_order naming a vertex that is not in the codomain must
-    // make the problem unsatisfiable in every engine — the FC engine has
-    // no 0-dimensional constraints, so this is pre-filtered in the
-    // domains (regression: it used to trip the internal solver-bug
-    // check instead of reporting unsat).
+    // A vertex that allowed() admits but the codomain lacks never enters
+    // a domain, in any engine: candidates come from the codomain, so the
+    // ordering closure is never even handed it, and the FC engine, which
+    // has no 0-dimensional constraints, cannot pick it (regression: a
+    // stray value used to trip the internal solver-bug check instead of
+    // being rejected).
     SimplicialComplex pt = SimplicialComplex::from_facets({Simplex{0}});
     ChromaticComplex domain(pt, {{0, 0}});
     SimplicialComplex target = SimplicialComplex::from_facets({Simplex{10}});
     ChromaticComplex codomain(target, {{10, 0}});
     // An "allowed" complex wider than the codomain, so the stray vertex
-    // sneaks past the per-vertex constraint filter.
+    // would pass the per-vertex constraint filter.
     SimplicialComplex wide =
         SimplicialComplex::from_facets({Simplex{10}, Simplex{99}});
     ChromaticMapProblem problem;
@@ -349,14 +355,18 @@ TEST(ChromaticCspConfig, StrayCandidatesRejectedByBothEngines) {
     problem.allowed = [&wide](const Simplex&) -> const SimplicialComplex& {
         return wide;
     };
-    problem.candidate_order = [](topo::VertexId) {
-        return std::vector<topo::VertexId>{99};  // not a codomain vertex
+    std::vector<topo::VertexId> handed;
+    problem.order_candidates = [&handed](topo::VertexId,
+                                         std::span<topo::VertexId> c) {
+        handed.insert(handed.end(), c.begin(), c.end());
     };
     for (const SolverConfig& config :
          {SolverConfig::naive(), SolverConfig::fast()}) {
+        handed.clear();
         const auto result = solve_chromatic_map(problem, config);
-        EXPECT_FALSE(result.map.has_value());
-        EXPECT_TRUE(result.exhausted);
+        ASSERT_TRUE(result.map.has_value());
+        EXPECT_EQ(result.map->apply(topo::VertexId{0}), 10u);
+        EXPECT_EQ(handed, (std::vector<topo::VertexId>{10}));
     }
 }
 
@@ -511,6 +521,34 @@ TEST(ChromaticCspPinned, FreeR0RadialSearchCounters) {
     EXPECT_EQ(c.eval_cache_misses, 5951u);
 }
 
+TEST(ChromaticCspPinned, FixedR0RadialSearchCounters) {
+    // The engine's own cell: R_0 fixed to the identity, radial
+    // guidance, one thread. Root propagation prunes the free vertices
+    // next to R_0 here (FreeR0RadialSearchCounters has no fixed
+    // vertex), so a change to the candidate pools, their order or the
+    // propagation that moves the search shows here.
+    const LtInstance& inst = lt_instance();
+    const ChromaticMapProblem problem = lt_approximation_problem(
+        inst.task, inst.tsub, /*fix_identity=*/true, LtGuidance::kRadial);
+    const ChromaticMapResult result =
+        solve_chromatic_map(problem, SolverConfig::fast());
+    ASSERT_TRUE(result.map.has_value());
+    EXPECT_EQ(engine::witness_digest_hex(*result.map), "2804cd4511698afd");
+    const SearchCounters& c = result.counters;
+    EXPECT_EQ(c.backtracks, 0u);
+    EXPECT_EQ(c.nogood_prunings, 0u);
+    EXPECT_EQ(c.nogoods_recorded, 0u);
+    EXPECT_EQ(c.nogoods_evicted, 0u);
+    EXPECT_EQ(c.restarts, 0u);
+    EXPECT_EQ(c.backjumps, 0u);
+    EXPECT_EQ(c.pool_seeded, 0u);
+    EXPECT_EQ(c.pool_published, 0u);
+    EXPECT_EQ(c.exchange_published, 0u);
+    EXPECT_EQ(c.exchange_imported, 0u);
+    EXPECT_EQ(c.eval_cache_hits, 408u);
+    EXPECT_EQ(c.eval_cache_misses, 1554u);
+}
+
 TEST(ChromaticCspPinned, NaiveReferenceBacktracks) {
     // The naive engine branches in decompose()'s static
     // maximum-cardinality order (the shipped engine picks by MRV and
@@ -546,10 +584,10 @@ TEST(ChromaticCspCancel, CancelledSetupSkipsCandidateOrders) {
         inst.task, inst.tsub, /*fix_identity=*/true, LtGuidance::kRadial);
     // Atomic: the set-up runs the closure on several workers.
     std::atomic<std::size_t> calls = 0;
-    problem.candidate_order = [&calls, inner = problem.candidate_order](
-                                  VertexId v) {
+    problem.order_candidates = [&calls, inner = problem.order_candidates](
+                                   VertexId v, std::span<VertexId> c) {
         ++calls;
-        return inner(v);
+        inner(v, c);
     };
     exec::CancelToken token;
     token.cancel();

@@ -7,13 +7,13 @@
 //   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 //
 // The budget (default 180 s, override with GACT_HEAVY_BUDGET_SECONDS)
-// is deliberately far above the measured time — the timed solve takes
-// 1.2–1.5 s (three runs of `GACT_RUN_HEAVY=1 ./heavy_scenarios_test`
+// is deliberately far above the measured time — the timed test takes
+// 0.71–0.74 s (three runs of `GACT_RUN_HEAVY=1 ./heavy_scenarios_test`
 // on a 4-core x86-64 Linux host, RelWithDebInfo), down from ~16 s
 // before integer-scaled guidance distances, bulk complex construction,
-// trusted chromatic builders, the restart/GC nogood lifecycle and
-// inline simplices — so the gate catches order-of-magnitude
-// regressions, not host noise.
+// trusted chromatic builders, the restart/GC nogood lifecycle, inline
+// simplices and the once-per-face K(T) record — so the gate catches
+// order-of-magnitude regressions, not host noise.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -58,6 +58,22 @@ TEST(HeavyScenarios, ShardedLt32Res2StaysUnderTheWallClockBudget) {
         << report.summary();
     ASSERT_EQ(report.warnings.size(), 1u);
     EXPECT_NE(report.warnings[0].find("radial"), std::string::npos);
+    // The search's full account, pinned: a change to the set-up (the
+    // candidate pools, their order, root propagation) or to the search
+    // that moves it shows here.
+    const core::SearchCounters& c = report.counters;
+    EXPECT_EQ(c.backtracks, 26u);
+    EXPECT_EQ(c.nogood_prunings, 3u);
+    EXPECT_EQ(c.nogoods_recorded, 26u);
+    EXPECT_EQ(c.nogoods_evicted, 0u);
+    EXPECT_EQ(c.restarts, 0u);
+    EXPECT_EQ(c.backjumps, 425u);
+    EXPECT_EQ(c.pool_seeded, 0u);
+    EXPECT_EQ(c.pool_published, 0u);
+    EXPECT_EQ(c.exchange_published, 0u);
+    EXPECT_EQ(c.exchange_imported, 0u);
+    EXPECT_EQ(c.eval_cache_hits, 1267u);
+    EXPECT_EQ(c.eval_cache_misses, 18707u);
 
     EXPECT_LT(elapsed, budget_seconds)
         << "sharded lt-3-2-res2 took " << elapsed

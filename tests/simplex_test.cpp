@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -244,6 +245,31 @@ TEST(Simplex, FacesAcrossTheInlineBoundary) {
             std::vector<VertexId> expected = a;
             expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(i));
             EXPECT_TRUE(std::ranges::equal(boundary[i].vertices(), expected));
+        }
+    }
+}
+
+TEST(Simplex, FacesPrecedeTheirCofaces) {
+    // TerminatingSubdivision's K(T) record attaches each newly stable
+    // simplex over its boundary in scan order, which is faces() order:
+    // every face of a listed face must be listed earlier.
+    const std::vector<VertexId> ids = {3, 7, 8, 20, 21, 40};
+    for (std::size_t n = 1; n <= ids.size(); ++n) {
+        const Simplex s(std::vector<VertexId>(ids.begin(), ids.begin() + n));
+        const std::vector<Simplex> faces = s.faces();
+        std::map<Simplex, std::size_t> position;
+        for (std::size_t i = 0; i < faces.size(); ++i) {
+            position.emplace(faces[i], i);
+        }
+        ASSERT_EQ(position.size(), faces.size()) << "size " << n;
+        for (std::size_t i = 0; i < faces.size(); ++i) {
+            for (const Simplex& f : faces[i].faces()) {
+                if (f == faces[i]) continue;
+                const auto it = position.find(f);
+                ASSERT_NE(it, position.end()) << f;
+                EXPECT_LT(it->second, i)
+                    << f << " listed after its coface " << faces[i];
+            }
         }
     }
 }

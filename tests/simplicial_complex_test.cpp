@@ -155,11 +155,14 @@ TEST(SimplicialComplex, VertexIdsMatchAFullWalkOnEveryInsertionPath) {
     EXPECT_EQ(closed.vertex_ids(), walked_vertex_ids(closed));
     EXPECT_EQ(closed.vertex_ids(), (std::vector<VertexId>{3, 5}));
 
-    // add_simplex (closure walk), both overloads.
+    // add_simplex (closure walk).
     c.add_simplex(Simplex{10, 11, 12});
     EXPECT_EQ(c.vertex_ids(), walked_vertex_ids(c));
-    c.add_simplex(Simplex{12, 13, 14, 15, 16, 17},
-                  [](const Simplex&) {});
+    c.add_simplex(Simplex{12, 13, 14, 15, 16, 17});
+    EXPECT_EQ(c.vertex_ids(), walked_vertex_ids(c));
+    // attach: a new vertex, then an edge over it.
+    EXPECT_TRUE(c.attach(Simplex{18}));
+    EXPECT_TRUE(c.attach(Simplex{17, 18}));
     EXPECT_EQ(c.vertex_ids(), walked_vertex_ids(c));
     c.add_simplex(Simplex{0, 1});  // already present: no new vertex
     EXPECT_EQ(c.vertex_ids(), walked_vertex_ids(c));
@@ -181,24 +184,54 @@ TEST(SimplicialComplex, VertexIdsMatchAFullWalkOnEveryInsertionPath) {
 
 TEST(SimplicialComplex, AddSimplexReportsExactlyWhatItInserts) {
     SimplicialComplex c = hollow_triangle();
-    std::vector<Simplex> reported;
-    c.add_simplex(Simplex{0, 1, 2, 3},
-                  [&](const Simplex& s) { reported.push_back(s); });
+    const SimplicialComplex before = c;
+    c.add_simplex(Simplex{0, 1, 2, 3});
     // The hollow triangle had its 6 simplices; the tetrahedron adds the
-    // other 9 of its 15 faces, each reported once.
-    EXPECT_EQ(reported.size(), 9u);
+    // other 9 of its 15 faces.
+    EXPECT_EQ(c.size(), before.size() + 9);
     EXPECT_EQ(c.size(), 15u);
-    std::sort(reported.begin(), reported.end());
-    EXPECT_TRUE(std::adjacent_find(reported.begin(), reported.end()) ==
-                reported.end());
-    for (const Simplex& s : reported) {
-        EXPECT_TRUE(c.contains(s));
-        EXPECT_FALSE(hollow_triangle().contains(s)) << s;
+    for (const Simplex& s : Simplex{0, 1, 2, 3}.faces()) {
+        EXPECT_TRUE(c.contains(s)) << s;
     }
-    reported.clear();
-    c.add_simplex(Simplex{1, 2},
-                  [&](const Simplex& s) { reported.push_back(s); });
-    EXPECT_TRUE(reported.empty());
+    EXPECT_TRUE(before.is_subcomplex_of(c));
+    // Re-adding a face is a no-op.
+    const SimplicialComplex full = c;
+    c.add_simplex(Simplex{1, 2});
+    EXPECT_EQ(c, full);
+    EXPECT_EQ(c.size(), 15u);
+}
+
+TEST(SimplicialComplex, AttachRequiresTheBoundary) {
+    SimplicialComplex c = hollow_triangle();
+    // The triangle's boundary is present: one insert, nothing else.
+    EXPECT_TRUE(c.attach(Simplex{0, 1, 2}));
+    EXPECT_EQ(c.size(), 7u);
+    // Present already: reported, not inserted again.
+    EXPECT_FALSE(c.attach(Simplex{0, 1, 2}));
+    EXPECT_EQ(c.size(), 7u);
+    // {0, 1, 3} lacks its edges through the missing vertex 3; nothing is
+    // inserted.
+    EXPECT_THROW(c.attach(Simplex{0, 1, 3}), precondition_error);
+    EXPECT_THROW(c.attach(Simplex{0, 3}), precondition_error);
+    EXPECT_EQ(c.size(), 7u);
+    EXPECT_TRUE(c.attach(Simplex{3}));
+    EXPECT_TRUE(c.attach(Simplex{0, 3}));
+    EXPECT_THROW(c.attach(Simplex{0, 1, 3}), precondition_error);
+    EXPECT_EQ(c.size(), 9u);
+    // Above the inline size too.
+    SimplicialComplex big =
+        SimplicialComplex::from_facets({Simplex{0, 1, 2, 3, 4, 5}});
+    EXPECT_THROW(big.attach(Simplex{0, 1, 2, 3, 4, 5, 6}),
+                 precondition_error);
+    big.add_simplex(Simplex{1, 2, 3, 4, 5, 6});
+    big.add_simplex(Simplex{0, 2, 3, 4, 5, 6});
+    big.add_simplex(Simplex{0, 1, 3, 4, 5, 6});
+    big.add_simplex(Simplex{0, 1, 2, 4, 5, 6});
+    big.add_simplex(Simplex{0, 1, 2, 3, 5, 6});
+    EXPECT_THROW(big.attach(Simplex{0, 1, 2, 3, 4, 5, 6}),
+                 precondition_error);
+    big.add_simplex(Simplex{0, 1, 2, 3, 4, 6});
+    EXPECT_TRUE(big.attach(Simplex{0, 1, 2, 3, 4, 5, 6}));
 }
 
 TEST(SimplicialComplex, EmptyComplex) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "engine/scenario_registry.h"
 #include "kt_digest.h"
@@ -283,6 +286,100 @@ TEST(TerminatingSubdivision, SigmaIsKtInGlobalIds) {
                 << "stage " << i << ", " << threads << " threads";
             EXPECT_FALSE(kt.is_empty() && i >= 2);
         }
+    }
+}
+
+TEST(TerminatingSubdivision, RuleNotClosedUnderFacesIsRejected) {
+    // Only the top-dimensional simplex is selected, none of its faces:
+    // K(T) would not be a complex, so the record refuses it instead of
+    // closing it silently.
+    const auto top_only = [](const SubdividedComplex& cx, const Simplex& s) {
+        return s.dimension() == cx.complex().dimension();
+    };
+    for (unsigned threads : {1u, 4u}) {
+        TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+        EXPECT_THROW(t.advance(top_only, threads), precondition_error);
+    }
+    // Its face closure is accepted, and K(T) is the whole triangle.
+    const auto closed = [](const SubdividedComplex&, const Simplex&) {
+        return true;
+    };
+    TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+    t.advance(closed);
+    EXPECT_EQ(t.stable_complex().complex().size(), 7u);
+}
+
+TEST(TerminatingSubdivision, StageRecordsPartitionKtInInsertionOrder) {
+    // Each stage's record lists what it added to K(T): together the
+    // records hold every K(T) simplex once, each face ahead of its
+    // cofaces, and stable_since reads the stage back.
+    const auto lt_rule = [](const SubdividedComplex& cx, const Simplex& s) {
+        if (cx.depth() < 2) return false;
+        for (VertexId v : s.vertices()) {
+            if (cx.carrier(v).dimension() < 1) return false;
+        }
+        return true;
+    };
+    TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+    for (int i = 0; i < 5; ++i) t.advance(lt_rule);
+    const topo::SimplicialComplex& kt = t.stable_complex().complex();
+    topo::SimplexSet seen;
+    for (std::size_t k = 0; k < t.stages(); ++k) {
+        for (const Simplex& s : t.stage_record(k)) {
+            for (const Simplex& b : s.boundary_faces()) {
+                if (!b.empty()) EXPECT_TRUE(seen.contains(b)) << s;
+            }
+            EXPECT_TRUE(seen.insert(s).second) << s;
+            EXPECT_EQ(t.stable_since(s), k) << s;
+        }
+    }
+    EXPECT_EQ(seen.size(), kt.size());
+    EXPECT_TRUE(t.stage_record(0).empty());
+    EXPECT_FALSE(t.stage_record(2).empty());
+    EXPECT_THROW(t.stage_record(t.stages()), precondition_error);
+}
+
+TEST(TerminatingSubdivision, ConcurrentFirstStableSinceReads) {
+    // stable_since builds its lookup on the first read after an
+    // advance(); 4 threads making that read at once must all get every
+    // answer right.
+    const auto lt_rule = [](const SubdividedComplex& cx, const Simplex& s) {
+        if (cx.depth() < 2) return false;
+        for (VertexId v : s.vertices()) {
+            if (cx.carrier(v).dimension() < 1) return false;
+        }
+        return true;
+    };
+    TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+    for (int i = 0; i < 4; ++i) t.advance(lt_rule);
+    std::vector<std::pair<Simplex, std::size_t>> expected;
+    for (std::size_t k = 0; k < t.stages(); ++k) {
+        for (const Simplex& s : t.stage_record(k)) expected.emplace_back(s, k);
+    }
+    ASSERT_FALSE(expected.empty());
+    for (int round = 0; round < 2; ++round) {
+        std::atomic<int> waiting = 4;
+        std::vector<std::vector<std::size_t>> got(4);
+        std::vector<std::thread> readers;
+        for (std::size_t r = 0; r < 4; ++r) {
+            readers.emplace_back([&, r] {
+                --waiting;
+                while (waiting > 0) std::this_thread::yield();
+                for (const auto& [s, k] : expected) {
+                    got[r].push_back(t.stable_since(s));
+                }
+            });
+        }
+        for (std::thread& th : readers) th.join();
+        for (std::size_t r = 0; r < 4; ++r) {
+            ASSERT_EQ(got[r].size(), expected.size());
+            for (std::size_t i = 0; i < expected.size(); ++i) {
+                EXPECT_EQ(got[r][i], expected[i].second)
+                    << expected[i].first << ", reader " << r;
+            }
+        }
+        // A later advance starts a new lookup; its first reads race too.
+        t.advance(lt_rule);
     }
 }
 
